@@ -3,14 +3,15 @@
 // turns into the end-to-end and per-layer metrics (see README.md).
 //
 //   wavbench_driver --workload <churn-2k|http-mesh|migrate-bulk>
-//                   --seed <n> --trace <0|1> --setups <k>
+//                   --seed <n> --variant <i> --trace <0|1>
 //
 // One process runs one repetition: it builds a fresh world from the seed
-// (the timed set-up), runs the workload's fixed simulated span (timed,
-// with the profiler on when --trace is 1), checks the outcome, and then
-// repeats the set-up alone k more times, because one set-up sample of a
-// few milliseconds is noise. run.py starts one process per repetition,
-// so no repetition inherits another's heap, and merges them.
+// (the timed, cold set-up), runs the workload's fixed simulated span
+// (timed, with the profiler on when --trace is 1) and checks the outcome.
+// A workload has one or more variants of its scenario: churn-2k runs its
+// fleet in two CAN layouts, the others have one. run.py starts one
+// process per repetition, so no repetition inherits another's heap, and
+// merges them.
 //
 // No probes are added to the program. The driver only times its own
 // calls into public functions (world build, deploy, run_until in fixed
@@ -163,14 +164,31 @@ class Workload {
 // Trautwein mix, shard rv1 killed at 180 s and restarted at 240 s, churn
 // running for 420 s from 3 s, and an invariant sweep at 620 s. Control
 // plane only: the hosts send no data frames.
+//
+// The shards' CAN zones follow from their join points, at boot and when
+// rv1 rejoins. Four shards either split the space into quadrants or
+// leave one shard with half of it, and with some skewed layouts the same
+// events cost 40-60 % more host time, all of the difference in can/query.
+// Left to the seed, the layout would split the seeds into two groups of
+// host time. So the workload has two variants, each with one pinned
+// layout: the join points come from a constant stream per variant, and
+// the seed drives everything else (the hosts' NAT types and attributes,
+// sessions, arrivals, jitter).
 class ChurnWorkload final : public Workload {
  public:
   static constexpr std::size_t kHosts = 2000;
   static constexpr std::size_t kShards = 4;
   static constexpr std::uint16_t kRelayPort = 5300;
+  // Fleet streams. Of streams 1-8, stream 2 is the first that gives
+  // quadrants both at boot and after rv1 rejoins (variant 0), and stream
+  // 8 the first that leaves a shard with half the space both times and
+  // falls in the slow group (variant 1). The boot_zone_share and
+  // rejoin_zone_share modelled outputs record the layout.
+  static constexpr std::uint64_t kFleetSeeds[] = {2, 8};
 
-  explicit ChurnWorkload(std::uint64_t seed)
-      : seed_(seed), sim_(seed), network_(sim_), wan_(network_) {}
+  ChurnWorkload(std::uint64_t seed, std::size_t variant)
+      : seed_(seed), fleet_seed_(kFleetSeeds[variant]), sim_(seed), network_(sim_),
+        wan_(network_) {}
 
   sim::Simulation& sim() override { return sim_; }
 
@@ -235,6 +253,7 @@ class ChurnWorkload final : public Workload {
     shards_[0]->bootstrap();
     for (std::size_t s = 1; s < kShards; ++s) shards_[s]->join(shards_[0]->can_endpoint());
     sim_.run_for(seconds(3));
+    boot_zone_share_ = largest_zone_share();
     use_workload_stream(1);
     chaos::FaultPlan faults;
     faults.rendezvous_crash(TimePoint{kCrashAt}, "rv1")
@@ -257,6 +276,7 @@ class ChurnWorkload final : public Workload {
     run_phase("ramp", TimePoint{kCrashAt}, seconds(10));
     run_phase("outage", TimePoint{kRestartAt}, seconds(10));
     run_phase("recovery", stop_at, seconds(10));
+    rejoin_zone_share_ = largest_zone_share();
     run_phase("quiesce", TimePoint{kEnd}, seconds(10));
   }
 
@@ -266,29 +286,35 @@ class ChurnWorkload final : public Workload {
     for (const std::string& v : violations) std::fprintf(stderr, "violation: %s\n", v.c_str());
     out.checks["invariant_violations_zero"] = violations.empty();
     const auto& st = engine_->stats();
-    // A session is an arrival that must register and later be reclaimed;
-    // each final invariant violation names one that did not.
-    out.attempted = st.arrivals;
-    out.failed = violations.size();
-    out.checks["dials_resolved"] = st.connects_ok + st.connects_failed > 0;
+    // Operations are host sessions and dials. A session is an arrival
+    // that must register and later be reclaimed; each final invariant
+    // violation names one that did not. A dial the protocol resolves as
+    // failed is a modelled outcome (connect_success); a dial that never
+    // resolves is an error.
+    const std::uint64_t unresolved = st.connects_attempted - st.connects_ok - st.connects_failed;
+    out.attempted = st.arrivals + st.connects_attempted;
+    out.failed = violations.size() + unresolved;
+    out.checks["dials_attempted"] = st.connects_attempted > 0;
+    out.checks["every_dial_resolved"] = unresolved == 0;
     out.modelled["dials_attempted"] = static_cast<double>(st.connects_attempted);
     out.modelled["dials_ok"] = static_cast<double>(st.connects_ok);
     out.modelled["dials_failed"] = static_cast<double>(st.connects_failed);
     out.modelled["rehomes"] = static_cast<double>(st.rehomes);
+    out.modelled["boot_zone_share"] = boot_zone_share_;
+    out.modelled["rejoin_zone_share"] = rejoin_zone_share_;
     return out;
   }
 
  private:
-  // The fleet's CAN layout is part of the fixed scenario, like the outage
-  // times: the shards' join points, at boot and when rv1 rejoins, come
-  // from a constant stream, and the seed drives everything else (the
-  // hosts' NAT types and attributes, sessions, arrivals, jitter). Left to
-  // the seed, host time split into two groups ~35 % apart with event
-  // counts within 5 %: the run measured the layout draw, not the code.
-  // 2026 is the repository's bench seed, not a tuned value.
-  static constexpr std::uint64_t kFleetSeed = 2026;
+  /// The largest share of the CAN space one shard owns: 0.25 when the
+  /// four shards split it evenly.
+  [[nodiscard]] double largest_zone_share() const {
+    double share = 0;
+    for (const auto& shard : shards_) share = std::max(share, shard->can_node().zone().volume());
+    return share;
+  }
 
-  void use_fleet_stream() { sim_.rng() = Rng{kFleetSeed}; }
+  void use_fleet_stream() { sim_.rng() = Rng{fleet_seed_}; }
   void use_workload_stream(std::uint64_t phase) {
     sim_.rng() = Rng{seed_ * 0x9E3779B97F4A7C15ULL + phase};
   }
@@ -299,6 +325,9 @@ class ChurnWorkload final : public Workload {
   static constexpr Duration kEnd = seconds(620);
 
   std::uint64_t seed_;
+  std::uint64_t fleet_seed_;
+  double boot_zone_share_{0};
+  double rejoin_zone_share_{0};
   sim::Simulation sim_;
   fabric::Network network_;
   fabric::Wan wan_;
@@ -535,25 +564,32 @@ class MigrateWorkload final : public Workload {
   std::vector<std::optional<vm::MigrationResult>> results_;
 };
 
-std::unique_ptr<Workload> make_workload(const std::string& name, std::uint64_t seed) {
-  if (name == "churn-2k") return std::make_unique<ChurnWorkload>(seed);
+/// How many variants of its scenario a workload has; 0 for an unknown name.
+std::size_t variant_count(const std::string& name) {
+  if (name == "churn-2k") return std::size(ChurnWorkload::kFleetSeeds);
+  if (name == "http-mesh" || name == "migrate-bulk") return 1;
+  return 0;
+}
+
+std::unique_ptr<Workload> make_workload(const std::string& name, std::uint64_t seed,
+                                        std::size_t variant) {
+  if (name == "churn-2k") return std::make_unique<ChurnWorkload>(seed, variant);
   if (name == "http-mesh") return std::make_unique<HttpWorkload>(seed);
-  if (name == "migrate-bulk") return std::make_unique<MigrateWorkload>(seed);
-  return nullptr;
+  return std::make_unique<MigrateWorkload>(seed);
 }
 
 struct Options {
   std::string workload;
   std::uint64_t seed{0};
+  std::size_t variant{0};
   bool trace{false};
-  std::uint64_t setups{0};
 };
 
 [[noreturn]] void usage(const std::string& error) {
   std::fprintf(stderr,
                "wavbench_driver: %s\n"
                "usage: wavbench_driver --workload <churn-2k|http-mesh|migrate-bulk> "
-               "--seed <n> --trace <0|1> --setups <k>\n",
+               "--seed <n> --variant <i> --trace <0|1>\n",
                error.c_str());
   std::exit(2);
 }
@@ -574,12 +610,12 @@ Options parse(int argc, char** argv) {
     } else {
       usage("missing value for " + arg);
     }
-    if (arg != "--workload" && arg != "--seed" && arg != "--trace" && arg != "--setups") {
+    if (arg != "--workload" && arg != "--seed" && arg != "--variant" && arg != "--trace") {
       usage("unknown flag " + arg);
     }
     if (!values.emplace(arg, value).second) usage("repeated flag " + arg);
   }
-  for (const char* flag : {"--workload", "--seed", "--trace", "--setups"}) {
+  for (const char* flag : {"--workload", "--seed", "--variant", "--trace"}) {
     if (!values.count(flag)) usage(std::string("missing ") + flag);
   }
   const auto integer = [&](const std::string& flag) {
@@ -593,18 +629,22 @@ Options parse(int argc, char** argv) {
   };
   Options opt;
   opt.workload = values["--workload"];
-  if (!make_workload(opt.workload, 0)) usage("unknown workload " + opt.workload);
+  const std::size_t variants = variant_count(opt.workload);
+  if (variants == 0) usage("unknown workload " + opt.workload);
   opt.seed = integer("--seed");
+  const std::uint64_t variant = integer("--variant");
+  if (variant >= variants) {
+    usage(opt.workload + " has " + std::to_string(variants) + " variant(s); --variant " +
+          std::to_string(variant) + " is out of range");
+  }
+  opt.variant = static_cast<std::size_t>(variant);
   const std::uint64_t trace = integer("--trace");
   if (trace > 1) usage("--trace must be 0 or 1");
   opt.trace = trace == 1;
-  opt.setups = integer("--setups");
-  if (opt.setups > 1000) usage("--setups must be at most 1000");
   return opt;
 }
 
 struct Rep {
-  bool timed{false};  // false: a set-up-only sample
   bool traced{false};
   double build_s{0};
   double deploy_s{0};
@@ -620,26 +660,24 @@ struct Rep {
   Outcome outcome;
 };
 
-/// One set-up plus, unless `setup_only`, one timed span.
-Rep run_once(const Options& opt, bool traced, bool setup_only, std::string* registry) {
+/// One set-up and one timed span.
+Rep run_once(const Options& opt, std::string& registry) {
   Rep rep;
-  rep.traced = traced;
-  std::unique_ptr<Workload> w = make_workload(opt.workload, opt.seed);
+  rep.traced = opt.trace;
+  std::unique_ptr<Workload> w = make_workload(opt.workload, opt.seed, opt.variant);
   auto t = Clock::now();
   w->build();
   rep.build_s = seconds_since(t);
   t = Clock::now();
   w->deploy();
   rep.deploy_s = seconds_since(t);
-  if (setup_only) return rep;
-  rep.timed = true;
 
   obs::Profiler& prof = obs::Profiler::instance();
   const net::FramePool& pool = net::FramePool::local();
   const std::uint64_t acquired0 = pool.frames_acquired();
   const std::uint64_t reused0 = pool.blocks_reused();
   const std::uint64_t events0 = w->sim().events_executed();
-  prof.set_enabled(traced);
+  prof.set_enabled(opt.trace);
   t = Clock::now();
   w->run();
   rep.wall_s = seconds_since(t);
@@ -654,7 +692,7 @@ Rep run_once(const Options& opt, bool traced, bool setup_only, std::string* regi
   rep.outcome = w->finish();
   const std::string dump = w->sim().metrics().to_json();
   rep.digest = fnv1a64(dump);
-  if (registry != nullptr) *registry = dump;
+  registry = dump;
   return rep;
 }
 
@@ -666,7 +704,6 @@ std::string rep_json(const Rep& r) {
   JsonObject phases;
   for (const auto& [k, v] : r.phases) phases.num(k, v);
   return JsonObject{}
-      .flag("timed", r.timed)
       .flag("traced", r.traced)
       .num("build_s", r.build_s)
       .num("deploy_s", r.deploy_s)
@@ -713,13 +750,10 @@ std::string profile_json() {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  std::vector<Rep> reps;
+  Rep rep;
   std::string registry;
   try {
-    reps.push_back(run_once(opt, opt.trace, false, &registry));
-    for (std::uint64_t i = 0; i < opt.setups; ++i) {
-      reps.push_back(run_once(opt, false, true, nullptr));
-    }
+    rep = run_once(opt, registry);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "wavbench_driver: %s failed: %s\n", opt.workload.c_str(), e.what());
     return 1;
@@ -729,10 +763,12 @@ int main(int argc, char** argv) {
       JsonObject{}
           .str("workload", opt.workload)
           .num("seed", static_cast<double>(opt.seed))
+          .num("variant", static_cast<double>(opt.variant))
+          .num("variants", static_cast<double>(variant_count(opt.workload)))
           .flag("trace", opt.trace)
           .str("build_type", WAVBENCH_BUILD_TYPE)
           .str("compiler", WAVBENCH_COMPILER)
-          .raw("reps", json_array(reps, rep_json))
+          .raw("rep", rep_json(rep))
           .raw("profile", opt.trace ? profile_json() : "null")
           .raw("registry", registry)
           .dump();

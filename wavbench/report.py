@@ -71,11 +71,15 @@ def rollup(profile):
 
 
 def merge(runs):
-    """One result from the driver processes of a run: repetitions in
-    order, the first process's registry dump, profiles summed."""
+    """One result from the driver processes of a run: one repetition per
+    process, in order and tagged with its variant; the registry dump of
+    the first process of each variant, in variant order; profiles summed."""
     merged = {k: runs[0][k] for k in ("workload", "seed", "build_type", "compiler")}
-    merged["reps"] = [rep for run in runs for rep in run["reps"]]
-    merged["registry"] = runs[0]["registry"]
+    merged["reps"] = [dict(run["rep"], variant=run["variant"]) for run in runs]
+    registries = {}
+    for run in runs:
+        registries.setdefault(run["variant"], run["registry"])
+    merged["registries"] = [registries[v] for v in sorted(registries)]
     profiles = [run["profile"] for run in runs if run["profile"]]
     merged["profile"] = None
     if profiles:
@@ -95,24 +99,48 @@ def merge(runs):
     return merged
 
 
-def counter_totals(registry):
-    """Registry counters summed over instances, by name."""
+def counter_totals(result):
+    """Registry counters summed over instances and variants, by name."""
     totals = {}
-    for c in (registry or {}).get("counters", []):
-        totals[c["name"]] = totals.get(c["name"], 0) + c["value"]
+    for registry in result["registries"]:
+        for c in (registry or {}).get("counters", []):
+            totals[c["name"]] = totals.get(c["name"], 0) + c["value"]
     return totals
 
 
-def timed_reps(result, traced=None):
-    return [r for r in result["reps"]
-            if r["timed"] and (traced is None or r["traced"] == traced)]
+def select(result, traced=None):
+    """The repetitions, all of them or only the profiled/unprofiled ones."""
+    return [r for r in result["reps"] if traced is None or r["traced"] == traced]
+
+
+def firsts(result):
+    """The first repetition of each variant, in variant order: the source
+    of counts that every repetition of a variant repeats."""
+    seen = {}
+    for r in result["reps"]:
+        seen.setdefault(r["variant"], r)
+    return [seen[v] for v in sorted(seen)]
+
+
+def variant_mean(reps, value):
+    """Mean over variants of the per-variant median of value(rep), so that
+    each variant weighs the same however many repetitions it had."""
+    groups = {}
+    for r in reps:
+        groups.setdefault(r["variant"], []).append(value(r))
+    return statistics.fmean(statistics.median(g) for g in groups.values())
+
+
+def digest(result):
+    """The modelled-output digest of a run: each variant's registry
+    digest, in variant order."""
+    return "+".join(r["digest"] for r in firsts(result))
 
 
 def operations(result):
-    """(attempted, failed) summed over the timed repetitions."""
-    reps = timed_reps(result)
-    return (sum(int(r["attempted"]) for r in reps),
-            sum(int(r["failed"]) for r in reps))
+    """(attempted, failed) summed over the repetitions."""
+    return (sum(int(r["attempted"]) for r in result["reps"]),
+            sum(int(r["failed"]) for r in result["reps"]))
 
 
 def _ratio(num, den):
@@ -120,13 +148,20 @@ def _ratio(num, den):
 
 
 def connect_success(counters):
-    """Share of resolved overlay dials that linked: the churn engine's
-    dials where it ran, otherwise the deployment's mesh dials."""
-    ok, failed = counters.get("churn.connects_ok", 0), counters.get("churn.connects_failed", 0)
-    if ok + failed == 0:
-        ok = counters.get("overlay.links_established", 0)
-        failed = counters.get("overlay.connects_failed", 0)
-    return _ratio(ok, ok + failed)
+    """Share of overlay dials that linked: the churn engine's dials where
+    it ran (a dial that never resolved counts against it), otherwise the
+    deployment's mesh dials."""
+    attempted = counters.get("churn.connects_attempted", 0)
+    if attempted:
+        return _ratio(counters.get("churn.connects_ok", 0), attempted)
+    ok = counters.get("overlay.links_established", 0)
+    return _ratio(ok, ok + counters.get("overlay.connects_failed", 0))
+
+
+def dials_unresolved(counters):
+    """Churn dials that neither linked nor failed."""
+    return (counters.get("churn.connects_attempted", 0) - counters.get("churn.connects_ok", 0)
+            - counters.get("churn.connects_failed", 0))
 
 
 def _named(values, entries):
@@ -136,14 +171,14 @@ def _named(values, entries):
 
 def end_to_end(result, spec):
     """End-to-end metrics, measured on the untraced repetitions."""
-    untraced = timed_reps(result, traced=False)
-    setups = [r["build_s"] + r["deploy_s"] for r in result["reps"]]
-    counters = counter_totals(result["registry"])
+    untraced = select(result, traced=False)
+    counters = counter_totals(result)
     values = {
         # Host seconds of the simulated span: every workload runs a fixed
         # amount of simulated work, so this is its time to solution.
-        "wall_s": statistics.median(r["wall_s"] for r in untraced),
-        "setup_s": statistics.median(setups),
+        "wall_s": variant_mean(untraced, lambda r: r["wall_s"]),
+        # Each process sets up once, cold, before its span.
+        "setup_s": statistics.median(r["build_s"] + r["deploy_s"] for r in result["reps"]),
         # Each repetition is its own process, so its high-water mark is
         # the workload's alone.
         "peak_rss_mb": statistics.median(r["peak_rss_kb"] for r in untraced) / 1024.0,
@@ -167,11 +202,11 @@ def per_layer(result, spec):
     """Per-layer metrics: profiler shares and ns/call from the profiled
     repetitions, work counters from the registry, host time from the
     untraced ones. A layer the workload does not load reads 0."""
-    untraced = timed_reps(result, traced=False)
-    traced = timed_reps(result, traced=True)
-    first = timed_reps(result)[0]
-    c = counter_totals(result["registry"])
-    modelled = first["modelled"]
+    untraced = select(result, traced=False)
+    traced = select(result, traced=True)
+    variants = firsts(result)
+    c = counter_totals(result)
+    modelled = variants[0]["modelled"]
     layers = rollup(result["profile"])
     cats = {row["name"]: row for row in result["profile"]["categories"]}
 
@@ -187,13 +222,16 @@ def per_layer(result, spec):
     def cat_share(name):
         return _ratio(cats[name]["self_ns"], result["profile"]["event_ns"]) if name in cats else 0.0
 
-    wall_untraced = statistics.median(r["wall_s"] for r in untraced)
-    wall_traced = statistics.median(r["wall_s"] for r in traced)
+    def total(key):
+        return sum(r[key] for r in variants)
+
+    wall_untraced = variant_mean(untraced, lambda r: r["wall_s"])
+    wall_traced = variant_mean(traced, lambda r: r["wall_s"])
     v = {
-        "sim.events": first["events"],
-        "sim.ns_per_event": _ratio(wall_untraced * 1e9, first["events"]),
+        "sim.events": total("events"),
+        "sim.ns_per_event": _ratio(wall_untraced * len(variants) * 1e9, total("events")),
         "sim.untagged_share": cat_share("sim/event"),
-        "sim.pending_max": first["pending_max"],
+        "sim.pending_max": max(r["pending_max"] for r in variants),
         "fabric.self_share": share("fabric"),
         "fabric.ns_per_delivery": _ratio(self_ns("fabric"),
                                          calls("link/deliver", "link/deliver_burst")),
@@ -202,7 +240,7 @@ def per_layer(result, spec):
         "nat.blocked_inbound": c.get("nat.blocked_inbound", 0),
         "nat.bindings_created": c.get("nat.bindings_created", 0),
         "nat.self_share": share("nat"),
-        "net.pool_reuse_share": _ratio(first["pool_reused"], first["pool_acquired"]),
+        "net.pool_reuse_share": _ratio(total("pool_reused"), total("pool_acquired")),
         "wavnet.frames_tunneled": c.get("switch.frames_tunneled", 0),
         "wavnet.flood_share": _ratio(c.get("switch.frames_flooded", 0),
                                      c.get("switch.frames_flooded", 0)
@@ -241,6 +279,9 @@ def per_layer(result, spec):
         "can.queries_timed_out": c.get("can.queries_timed_out", 0),
         "can.forward_per_delivery": _ratio(c.get("can.routed_forwarded", 0),
                                            c.get("can.routed_delivered", 0)),
+        "can.zone_share_max": max(max(r["modelled"].get("boot_zone_share", 0),
+                                      r["modelled"].get("rejoin_zone_share", 0))
+                                  for r in variants),
         "relay.allocations": c.get("relay.allocations", 0),
         "relay.alloc_failures": c.get("relay.alloc_failures", 0),
         "relay.frames_relayed": c.get("relay.frames_relayed", 0),
@@ -249,29 +290,31 @@ def per_layer(result, spec):
         "churn.departures": c.get("churn.departures_graceful", 0) + c.get("churn.crashes", 0),
         "churn.rehomes": c.get("churn.rehomes", 0),
         "churn.dials_failed": c.get("churn.connects_failed", 0),
+        "churn.dials_unresolved": dials_unresolved(c),
         "setup.build_s": statistics.median(r["build_s"] for r in result["reps"]),
         "setup.deploy_s": statistics.median(r["deploy_s"] for r in result["reps"]),
-        "rss.kb_per_request": rss_slope_kb(first["rss_slices"]),
+        "rss.kb_per_request": rss_slope_kb(variants[0]["rss_slices"]),
         "obs.trace_overhead": _ratio(wall_traced, wall_untraced) - 1.0,
     }
     for phase in ("ramp", "outage", "recovery", "quiesce"):
-        v[f"churn.phase_wall_s.{phase}"] = statistics.median(
-            r["phase_wall_s"].get(phase, 0.0) for r in untraced)
+        v[f"churn.phase_wall_s.{phase}"] = variant_mean(
+            untraced, lambda r: r["phase_wall_s"].get(phase, 0.0))
     return _named(v, spec["per_layer"])
 
 
 def checks(result):
-    """Named correctness checks over every timed repetition."""
-    reps = timed_reps(result)
-    out = {"timed_repetition_ran": bool(reps)}
+    """Named correctness checks over every repetition."""
+    reps = result["reps"]
+    out = {"repetition_ran": bool(reps)}
     if not reps:
         return out
     for name in sorted({k for r in reps for k in r["checks"]}):
         out[name] = all(r["checks"].get(name, False) for r in reps)
-    # Every repetition simulates the same seed: the registry digest and
-    # the modelled outputs must repeat, profiled or not.
-    out["digest_repeats"] = len({r["digest"] for r in reps}) == 1
-    out["modelled_repeats"] = all(r["modelled"] == reps[0]["modelled"] for r in reps)
+    # Every repetition of a variant simulates the same thing: its registry
+    # digest and modelled outputs must repeat, profiled or not.
+    first = {r["variant"]: r for r in reversed(reps)}
+    out["digest_repeats"] = all(r["digest"] == first[r["variant"]]["digest"] for r in reps)
+    out["modelled_repeats"] = all(r["modelled"] == first[r["variant"]]["modelled"] for r in reps)
     return out
 
 

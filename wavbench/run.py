@@ -37,8 +37,6 @@ DRIVER = BUILD_DIR / "wavbench_driver"
 # What the driver is built from; hashed into the ledger record because a
 # benchmark checkout need not be a git repository.
 SOURCES = ("src", "bench/harness.cpp", "bench/harness.hpp", BENCH_DIR.name)
-# Extra set-up-only samples per process: a set-up takes milliseconds.
-SETUPS_PER_PROCESS = 8
 # Repetitions stop before --seconds; this only bounds a hang.
 RUN_LIMIT_S = 170
 
@@ -99,9 +97,9 @@ def git_rev():
         return "none"
 
 
-def run_driver(workload, seed, traced, timeout):
+def run_driver(workload, seed, variant, traced, timeout):
     cmd = [str(DRIVER), "--workload", workload, "--seed", str(seed),
-           "--trace", "1" if traced else "0", "--setups", str(SETUPS_PER_PROCESS)]
+           "--variant", str(variant), "--trace", "1" if traced else "0"]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -116,18 +114,25 @@ def run_driver(workload, seed, traced, timeout):
 
 def measure(args):
     """One driver process per repetition, so none inherits another's heap.
-    Repeats while the next repetition still fits in --seconds, but at
-    least twice so no median rests on one sample; with --trace 1 untraced
-    and profiled repetitions alternate, starting untraced."""
+    A cycle runs each variant of the workload once, and with --trace 1
+    once untraced and once profiled, in that order. Cycles repeat while
+    the next one still fits in --seconds; a run holds at least two
+    repetitions, so no median of a single-variant workload rests on one
+    sample."""
     started = time.monotonic()
-    runs = []
+    runs, cycle_started, variants = [], started, 1
     while True:
-        traced = bool(args.trace) and len(runs) % 2 == 1
-        t = time.monotonic()
-        runs.append(run_driver(args.workload, args.seed, traced,
-                               max(1.0, RUN_LIMIT_S - (t - started))))
-        last = time.monotonic() - t
-        if len(runs) >= 2 and time.monotonic() - started + last > args.seconds:
+        k = len(runs)
+        traced = bool(args.trace) and (k // variants) % 2 == 1
+        runs.append(run_driver(args.workload, args.seed, k % variants, traced,
+                               max(1.0, RUN_LIMIT_S - (time.monotonic() - started))))
+        variants = runs[0]["variants"]
+        cycle = variants * (2 if args.trace else 1)
+        if len(runs) % cycle:
+            continue
+        now = time.monotonic()
+        last_cycle, cycle_started = now - cycle_started, now
+        if len(runs) >= max(2, cycle) and now - started + last_cycle > args.seconds:
             return report.merge(runs)
 
 
@@ -164,7 +169,7 @@ def main(argv):
         "git_rev": git_rev(), "source_digest": source_digest(),
         "build_type": result["build_type"], "compiler": result["compiler"],
         "nproc": len(os.sched_getaffinity(0)),
-        "digest": report.timed_reps(result)[0]["digest"] if report.timed_reps(result) else "",
+        "digest": report.digest(result),
     }
     print("ledger " + json.dumps(ledger, sort_keys=True))
 
@@ -172,7 +177,7 @@ def main(argv):
     attempted, failed = report.operations(result)
     checks["operations_attempted"] = attempted >= 1
     metrics = {}
-    if checks["timed_repetition_ran"]:
+    if checks["repetition_ran"]:
         try:
             if args.trace:
                 metrics = report.per_layer(result, spec)

@@ -20,16 +20,24 @@ NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 
 
-def rep(timed=True, traced=False, attempted=10, failed=0, digest="d1", wall_s=2.0):
+def rep(traced=False, attempted=10, failed=0, digest="d1", wall_s=2.0, variant=0,
+        setup_s=0.03):
     return {
-        "timed": timed, "traced": traced, "build_s": 0.01, "deploy_s": 0.02,
-        "wall_s": wall_s if timed else 0, "events": 1000 if timed else 0,
-        "pending_max": 7, "pool_acquired": 100, "pool_reused": 90, "peak_rss_kb": 51200,
-        "phase_wall_s": {}, "rss_slices": [[0, 1000], [100, 1100], [200, 1200], [300, 1300]],
-        "digest": digest if timed else "", "attempted": attempted if timed else 0,
-        "failed": failed if timed else 0, "checks": {"ok": True} if timed else {},
-        "modelled": {"req_p50_ms": 40.0, "req_p99_ms": 170.0} if timed else {},
+        "variant": variant, "traced": traced, "build_s": setup_s / 3, "deploy_s": setup_s * 2 / 3,
+        "wall_s": wall_s, "events": 1000, "pending_max": 7, "pool_acquired": 100,
+        "pool_reused": 90, "peak_rss_kb": 51200, "phase_wall_s": {"ramp": wall_s},
+        "rss_slices": [[0, 1000], [100, 1100], [200, 1200], [300, 1300]],
+        "digest": digest, "attempted": attempted, "failed": failed, "checks": {"ok": True},
+        "modelled": {"req_p50_ms": 40.0, "req_p99_ms": 170.0},
     }
+
+
+def churn_registry(attempted, ok, failed):
+    return {"counters": [
+        {"name": "churn.connects_attempted", "instance": "fleet", "value": attempted},
+        {"name": "churn.connects_ok", "instance": "fleet", "value": ok},
+        {"name": "churn.connects_failed", "instance": "fleet", "value": failed},
+    ]}
 
 
 def result(reps=None, categories=None):
@@ -43,16 +51,16 @@ def result(reps=None, categories=None):
     ]
     return {
         "reps": reps if reps is not None else [rep(), rep(traced=True, wall_s=2.2),
-                                               rep(timed=False)],
+                                               rep(setup_s=0.05)],
         "profile": {"sample_period": 16, "events_measured": 50, "event_ns": 1000,
                     "categories": categories},
-        "registry": {"counters": [
+        "registries": [{"counters": [
             {"name": "overlay.links_established", "instance": "a", "value": 6},
             {"name": "overlay.links_established", "instance": "b", "value": 6},
             {"name": "overlay.connects_failed", "instance": "a", "value": 0},
             {"name": "switch.frames_flooded", "instance": "a", "value": 1},
             {"name": "switch.frames_tunneled", "instance": "a", "value": 99},
-        ]},
+        ]}],
     }
 
 
@@ -91,9 +99,27 @@ class MetricNaming(unittest.TestCase):
     def test_end_to_end_uses_untraced_repetitions(self):
         e2e = report.end_to_end(result(), self.spec)
         self.assertEqual(e2e["wall_s"]["value"], 2.0)  # the profiled 2.2 s is excluded
-        self.assertAlmostEqual(e2e["setup_s"]["value"], 0.03)
+        self.assertAlmostEqual(e2e["setup_s"]["value"], 0.03)  # every process's set-up
         self.assertEqual(e2e["peak_rss_mb"]["value"], 50.0)
         self.assertEqual(e2e["connect_success"]["value"], 1.0)
+
+    def test_variants_weigh_the_same(self):
+        r = result(reps=[rep(variant=0, wall_s=10.0), rep(variant=1, wall_s=20.0),
+                         rep(variant=0, wall_s=12.0), rep(variant=1, wall_s=22.0),
+                         rep(variant=0, wall_s=11.0), rep(traced=True)])
+        # Medians 11 and 21 per variant, whatever the repetition counts.
+        self.assertEqual(report.end_to_end(r, self.spec)["wall_s"]["value"], 16.0)
+        layer = report.per_layer(r, self.spec)
+        self.assertEqual(layer["sim.events"]["value"], 2000)
+        self.assertAlmostEqual(layer["sim.ns_per_event"]["value"], 32e9 / 2000)
+        self.assertEqual(layer["churn.phase_wall_s.ramp"]["value"], 16.0)
+
+    def test_unresolved_dials_count_against_connect_success(self):
+        r = result()
+        r["registries"] = [churn_registry(100, 90, 5), churn_registry(100, 95, 5)]
+        e2e = report.end_to_end(r, self.spec)
+        self.assertAlmostEqual(e2e["connect_success"]["value"], 185 / 200)
+        self.assertEqual(report.per_layer(r, self.spec)["churn.dials_unresolved"]["value"], 5)
 
     def test_layer_ratios(self):
         layer = report.per_layer(result(), self.spec)
@@ -106,10 +132,10 @@ class MetricNaming(unittest.TestCase):
 
 
 class FailureCounting(unittest.TestCase):
-    def test_counts_sum_over_timed_repetitions_only(self):
+    def test_counts_sum_over_repetitions(self):
         r = result(reps=[rep(attempted=10, failed=1), rep(attempted=10, failed=2),
-                         rep(timed=False)])
-        self.assertEqual(report.operations(r), (20, 3))
+                         rep(variant=1, attempted=7)])
+        self.assertEqual(report.operations(r), (27, 3))
 
     def test_all_checks_hold_on_a_clean_run(self):
         self.assertTrue(all(report.checks(result()).values()))
@@ -123,27 +149,37 @@ class FailureCounting(unittest.TestCase):
         r = result(reps=[rep(digest="a"), rep(traced=True, digest="b")])
         self.assertFalse(report.checks(r)["digest_repeats"])
 
+    def test_digest_repeats_per_variant(self):
+        r = result(reps=[rep(digest="a"), rep(variant=1, digest="b"), rep(digest="a"),
+                         rep(variant=1, digest="b")])
+        self.assertTrue(report.checks(r)["digest_repeats"])
+        self.assertEqual(report.digest(r), "a+b")
+        r["reps"][3]["digest"] = "c"
+        self.assertFalse(report.checks(r)["digest_repeats"])
+
     def test_modelled_outputs_must_repeat(self):
         r = result()
         r["reps"][1] = copy.deepcopy(r["reps"][1])
         r["reps"][1]["modelled"]["req_p99_ms"] = 171.0
         self.assertFalse(report.checks(r)["modelled_repeats"])
 
-    def test_no_timed_repetition_is_a_failure(self):
-        self.assertFalse(all(report.checks(result(reps=[rep(timed=False)])).values()))
+    def test_no_repetition_is_a_failure(self):
+        self.assertFalse(all(report.checks(result(reps=[])).values()))
 
 
 class Merge(unittest.TestCase):
+    @staticmethod
+    def run(traced, variant=0, registry=None):
+        """One driver process's output."""
+        r = result()
+        return {"workload": "http-mesh", "seed": 1, "build_type": "RelWithDebInfo",
+                "compiler": "GNU", "variant": variant, "variants": 2, "trace": traced,
+                "rep": rep(traced=traced), "registry": registry or r["registries"][0],
+                "profile": r["profile"] if traced else None}
+
     def test_processes_merge_into_one_result(self):
-        def run(traced):
-            r = result(reps=[rep(traced=traced), rep(timed=False)])
-            r.update(workload="http-mesh", seed=1, build_type="RelWithDebInfo",
-                     compiler="GNU", trace=traced)
-            if not traced:
-                r["profile"] = None
-            return r
-        merged = report.merge([run(False), run(True), run(True)])
-        self.assertEqual(len(merged["reps"]), 6)
+        merged = report.merge([self.run(False), self.run(True), self.run(True)])
+        self.assertEqual(len(merged["reps"]), 3)
         self.assertEqual(report.operations(merged), (30, 0))
         self.assertEqual(merged["profile"]["event_ns"], 2000)
         calls = {c["name"]: c["calls"] for c in merged["profile"]["categories"]}
@@ -151,9 +187,14 @@ class Merge(unittest.TestCase):
         self.assertAlmostEqual(report.rollup(merged["profile"])["wavnet"]["share"], 0.3)
 
     def test_untraced_run_has_no_profile(self):
-        r = result()
-        r.update(workload="churn-2k", seed=1, build_type="x", compiler="y", profile=None)
-        self.assertIsNone(report.merge([r, r])["profile"])
+        self.assertIsNone(report.merge([self.run(False), self.run(False)])["profile"])
+
+    def test_one_registry_per_variant(self):
+        a, b = churn_registry(10, 9, 1), churn_registry(20, 18, 2)
+        merged = report.merge([self.run(False, 0, a), self.run(False, 1, b),
+                               self.run(False, 0, churn_registry(99, 0, 0))])
+        self.assertEqual(merged["registries"], [a, b])
+        self.assertEqual([r["variant"] for r in merged["reps"]], [0, 1, 0])
 
 
 class CategoryRollup(unittest.TestCase):
