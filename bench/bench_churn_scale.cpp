@@ -171,26 +171,6 @@ TierResult run_tier(std::size_t n_hosts, std::uint64_t seed, int tier_index) {
   }};
   sample_timer.start();
   violation_timer.start();
-  // Temporary scale diagnostics (WAVNET_CHURN_DIAG=1): where does the
-  // event volume come from as N grows?
-  const bool diag = std::getenv("WAVNET_CHURN_DIAG") != nullptr;
-  sim::PeriodicTimer diag_timer{sim, seconds(30), [&] {
-    std::size_t channels = 0;
-    for (const auto& r : relays) channels += r->active_channels();
-    std::size_t pending_conn = 0;
-    for (const auto& s : shards) pending_conn += s->pending_connect_count();
-    std::fprintf(stderr,
-                 "  t=%4.0fs events=%zu online=%zu channels=%zu pending_conn=%zu\n",
-                 to_seconds(sim.now()), sim.pending_events(), engine.online_count(),
-                 channels, pending_conn);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      const auto& cn = shards[s]->can_node();
-      std::fprintf(stderr, "    rv%zu down=%d joined=%d zone=%s\n", s,
-                   shards[s]->down() ? 1 : 0, cn.joined() ? 1 : 0,
-                   cn.zone().to_string().c_str());
-    }
-  }};
-  if (diag) diag_timer.start();
 
   engine.start();
   sim.schedule_after(kChurnStop, [&engine] { engine.stop(); });

@@ -61,15 +61,16 @@ ScenarioResult summarize(const std::string& name, benchx::World& world) {
       "relay_down",   "link_down",    "link_queue",     "wire_loss",
       "partition",    "ttl_expired",  "no_route",       "group_isolation"};
   std::uint64_t best = 0;
+  const char* dominant = "-";
   for (const char* reason : kReasons) {
     const std::uint64_t n =
         world.sim().metrics().counter_total(std::string("flow.drops.") + reason);
     if (n > best) {
       best = n;
-      r.dominant_drop = reason;
+      dominant = reason;
     }
   }
-  if (best == 0) r.dominant_drop = "-";
+  r.dominant_drop = dominant;
   return r;
 }
 

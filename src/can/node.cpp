@@ -31,6 +31,17 @@ std::optional<net::Endpoint> parse_endpoint(ByteReader& r) {
   return net::Endpoint{net::Ipv4Address{*ip}, *port};
 }
 
+double point_distance_sq(const Point& a, const Point& b) {
+  double d2 = 0.0;
+  for (std::size_t i = 0; i < a.dims() && i < b.dims(); ++i) {
+    const double d = a.coords[i] - b.coords[i];
+    d2 += d * d;
+  }
+  return d2;
+}
+
+}  // namespace
+
 /// Items travel with their *remaining* TTL in milliseconds (0 = never
 /// expires), so transfers during join/leave preserve expiry semantics.
 void encode_items(ByteWriter& w, const std::vector<Item>& items, TimePoint now) {
@@ -52,8 +63,12 @@ void encode_items(ByteWriter& w, const std::vector<Item>& items, TimePoint now) 
 }
 
 std::optional<std::vector<Item>> parse_items(ByteReader& r, TimePoint now) {
+  // Smallest encoded item: a zero-dimension point, its TTL and an empty
+  // payload's length. A count the remaining bytes cannot hold is forged,
+  // and must not reach the reserve below.
+  constexpr std::size_t kMinItemBytes = 1 + 4 + 4;
   const auto count = r.u32();
-  if (!count) return std::nullopt;
+  if (!count || *count > r.remaining() / kMinItemBytes) return std::nullopt;
   std::vector<Item> items;
   items.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
@@ -70,17 +85,6 @@ std::optional<std::vector<Item>> parse_items(ByteReader& r, TimePoint now) {
   }
   return items;
 }
-
-double point_distance_sq(const Point& a, const Point& b) {
-  double d2 = 0.0;
-  for (std::size_t i = 0; i < a.dims() && i < b.dims(); ++i) {
-    const double d = a.coords[i] - b.coords[i];
-    d2 += d * d;
-  }
-  return d2;
-}
-
-}  // namespace
 
 CanNode::CanNode(sim::Simulation& sim, NodeId id, net::Endpoint self, SendFn send)
     : CanNode(sim, id, self, std::move(send), Config{}) {}

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -51,6 +52,11 @@ struct Item {
   /// rendezvous servers that died with their hosts' state) age out.
   TimePoint expires{kTimeInfinity};
 };
+
+/// Item-list wire codec (zone transfers, neighbor probes, query replies).
+/// Parsing returns nullopt on truncated input or a forged item count.
+void encode_items(ByteWriter& w, const std::vector<Item>& items, TimePoint now);
+[[nodiscard]] std::optional<std::vector<Item>> parse_items(ByteReader& r, TimePoint now);
 
 struct CanStats {
   std::uint64_t messages_sent{0};

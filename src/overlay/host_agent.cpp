@@ -1,6 +1,7 @@
 #include "overlay/host_agent.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hpp"
 #include "obs/profiler.hpp"
@@ -15,11 +16,14 @@ HostAgent::HostAgent(stack::IpLayer& ip, Config config)
       next_request_id_(1),
       heartbeat_timer_(ip.sim(), config_.heartbeat_interval,
                        [this] {
-                         if (registered_) {
-                           c_heartbeats_sent_->inc();
-                           socket_.send_to(active_rendezvous_,
-                                           encode(HeartbeatMsg{self_.host_id}));
-                           probe_rendezvous();
+                         if (!registered_) return;
+                         c_heartbeats_sent_->inc();
+                         socket_.send_to(active_rendezvous_,
+                                         encode(HeartbeatMsg{self_.host_id}));
+                         // Every heartbeat is acked; the RegisterAck handler
+                         // resets the silence count.
+                         if (++silent_probes_ > config_.rendezvous_probe_failures) {
+                           fail_over_rendezvous();
                          }
                        }),
       pulse_timer_(ip.sim(), config_.pulse_interval, [this] { pulse_links(); },
@@ -214,36 +218,6 @@ void HostAgent::do_register() {
   });
 }
 
-void HostAgent::probe_rendezvous() {
-  // Liveness probe: an empty query; any reply resets the silence count.
-  // (RegisterAck and QueryReply handlers also reset it.)
-  // Drop the previous probe's pending entry so unanswered probes don't
-  // accumulate while the server is down.
-  if (const auto it = pending_queries_.find(last_probe_query_id_);
-      it != pending_queries_.end()) {
-    ip_.sim().cancel(it->second.deadline);
-    pending_queries_.erase(it);
-  }
-  QueryMsg probe;
-  probe.query_id = next_query_id_++;
-  last_probe_query_id_ = probe.query_id;
-  probe.k = 1;
-  probe.target = {};
-  PendingQuery pending;
-  pending.handler = [this](std::vector<HostInfo>) {
-    silent_probes_ = 0;
-    last_rendezvous_ok_ = ip_.sim().now();
-  };
-  pending.k = 1;
-  pending.probe = true;
-  pending.issued = ip_.sim().now();
-  pending.deadline = ip_.sim().schedule_after(
-      config_.query_timeout, [this, qid = probe.query_id] { expire_query(qid); });
-  pending_queries_[probe.query_id] = std::move(pending);
-  socket_.send_to(active_rendezvous_, encode(probe));
-  if (++silent_probes_ > config_.rendezvous_probe_failures) fail_over_rendezvous();
-}
-
 void HostAgent::fail_over_rendezvous() {
   if (config_.rendezvous_backups.empty()) {
     silent_probes_ = 0;  // nothing to fail over to; keep trying the primary
@@ -293,7 +267,7 @@ std::size_t HostAgent::stale_query_count(Duration age) const {
   const TimePoint now = ip_.sim().now();
   std::size_t n = 0;
   for (const auto& [qid, q] : pending_queries_) {
-    if (!q.probe && now - q.issued > age) ++n;
+    if (now - q.issued > age) ++n;
   }
   return n;
 }
@@ -302,13 +276,6 @@ void HostAgent::expire_query(std::uint64_t query_id) {
   const auto it = pending_queries_.find(query_id);
   if (it == pending_queries_.end()) return;
   PendingQuery& pending = it->second;
-  if (pending.probe) {
-    // A probe's silence is already accounted for by silent_probes_; its
-    // handler must NOT run on timeout (it would wrongly mark the server
-    // alive). Just drop the entry.
-    pending_queries_.erase(it);
-    return;
-  }
   if (pending.attempts < config_.query_retries) {
     // Resend under the same id with a linearly stretched deadline — the
     // reply datagram may simply have been lost.
@@ -1124,10 +1091,10 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       }
       silent_probes_ = 0;
       register_backoff_ = kZeroDuration;
+      const TimePoint last_ok = std::exchange(last_rendezvous_ok_, ip_.sim().now());
       if (!registered_) {
-        if (rehoming_ && last_rendezvous_ok_ != TimePoint{}) {
-          h_rehome_ms_->observe(
-              to_milliseconds(ip_.sim().now() - last_rendezvous_ok_));
+        if (rehoming_ && last_ok != TimePoint{}) {
+          h_rehome_ms_->observe(to_milliseconds(last_rendezvous_ok_ - last_ok));
         }
         rehoming_ = false;
         registered_ = true;

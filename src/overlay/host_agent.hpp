@@ -37,8 +37,8 @@ class HostAgent {
     std::string name;
     std::vector<double> attributes{0.5, 0.5};
     net::Endpoint rendezvous{};
-    /// Backup rendezvous servers: when the active one stops answering
-    /// liveness probes, the agent re-registers with the next (paper §II:
+    /// Backup rendezvous servers: when the active one stops acking
+    /// heartbeats, the agent re-registers with the next (paper §II:
     /// a host "could join ... at least one rendezvous server").
     std::vector<net::Endpoint> rendezvous_backups{};
     /// Sharded registration fleet: when non-empty this supersedes
@@ -47,7 +47,7 @@ class HostAgent {
     /// order), so a dead shard's population spreads across the survivors
     /// deterministically.
     std::vector<net::Endpoint> rendezvous_shards{};
-    std::uint32_t rendezvous_probe_failures{3};  // probes before failover
+    std::uint32_t rendezvous_probe_failures{3};  // unanswered heartbeats before failover
     /// STUN primary/alternate endpoints; unset skips type detection and
     /// assumes a port-restricted cone (the common case).
     std::optional<std::pair<net::Endpoint, net::Endpoint>> stun{};
@@ -228,16 +228,12 @@ class HostAgent {
   [[nodiscard]] std::uint32_t rendezvous_failovers() const noexcept {
     return rendezvous_failovers_;
   }
-  /// Non-probe queries still awaiting a reply or their deadline — must
-  /// drain to zero once the overlay quiesces (leak detector).
+  /// Queries still awaiting a reply or their deadline — must drain to
+  /// zero once the overlay quiesces (leak detector).
   [[nodiscard]] std::size_t pending_query_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& [qid, q] : pending_queries_) {
-      if (!q.probe) ++n;
-    }
-    return n;
+    return pending_queries_.size();
   }
-  /// Non-probe pending queries older than `age` — the retry ladder bounds
+  /// Pending queries older than `age` — the retry ladder bounds
   /// a legitimate entry's lifetime to ~(query_retries+1) x query_timeout,
   /// so anything past that is a leaked handler rather than in-flight work.
   [[nodiscard]] std::size_t stale_query_count(Duration age) const;
@@ -290,7 +286,6 @@ class HostAgent {
     std::vector<double> target;
     std::uint16_t k{0};
     std::uint32_t attempts{0};
-    bool probe{false};  // liveness probes never retry and never call back
     sim::EventId deadline{};
     TimePoint issued{};
   };
@@ -302,7 +297,6 @@ class HostAgent {
   [[nodiscard]] Duration jittered(Duration d);
   void schedule_repunch(const HostInfo& info);
   void do_register();
-  void probe_rendezvous();
   void fail_over_rendezvous();
   void begin_punching(const HostInfo& peer, ConnectHandler handler);
   void punch_round(HostId peer);
@@ -344,13 +338,12 @@ class HostAgent {
   net::Endpoint home_rendezvous_{};  // hash-home shard; go_online resets here
   Duration register_backoff_{};      // 0 = next retry uses register_retry
   std::size_t next_backup_{0};
-  std::uint64_t last_probe_query_id_{0};
   std::uint32_t silent_probes_{0};
   std::uint32_t rendezvous_failovers_{0};
-  // Re-home latency bookkeeping: the clock runs from the last positive
-  // signal off the old shard (ack or probe reply) to the RegisterAck on
-  // the new one, so the measured window includes the silence-detection
-  // probes, the ring walk, and the registration backoff.
+  // Re-home latency bookkeeping: the clock runs from the last ack off the
+  // old shard to the RegisterAck on the new one, so the measured window
+  // includes the unanswered heartbeats, the ring walk, and the
+  // registration backoff.
   TimePoint last_rendezvous_ok_{};
   bool rehoming_{false};
 

@@ -87,6 +87,8 @@ void encode_host_info(ByteWriter& w, const HostInfo& info);
 struct RegisterMsg {
   HostInfo info;
 };
+/// Answers both Register and Heartbeat; ok=false means the server holds
+/// no record of the host.
 struct RegisterAckMsg {
   bool ok{false};
   net::Endpoint observed{};  // server-reflexive endpoint of the host

@@ -193,8 +193,16 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
       if (const auto msg = parse_heartbeat(*chunk)) {
         ++stats_.heartbeats;
         c_heartbeats_->inc();
+        // Every heartbeat is acked: the ack is the host's liveness signal
+        // for this shard. A nack (unknown host: our tables were wiped by a
+        // crash/restart after it registered) makes it re-register instead
+        // of heartbeating into the void until its tunnels rot.
+        RegisterAckMsg ack;
+        ack.observed = from;
         const auto it = hosts_.find(msg->host_id);
         if (it != hosts_.end()) {
+          ack.ok = true;
+          ack.relays = config_.relays;
           it->second.last_seen = ip_.sim().now();
           it->second.observed = from;  // NAT rebinding keeps working
           note_alive(msg->host_id, it->second.last_seen);
@@ -206,16 +214,8 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
           can_.erase(attrs_to_point(it->second.info.attributes), blob);
           can_.store(attrs_to_point(it->second.info.attributes), std::move(blob),
                      config_.host_expiry);
-        } else {
-          // A heartbeat from a host we don't know means our tables were
-          // wiped (crash/restart) after it registered. Telling it so —
-          // a negative ack — makes it re-register instead of heartbeating
-          // into the void until its tunnels rot.
-          RegisterAckMsg nack;
-          nack.ok = false;
-          nack.observed = from;
-          host_socket_.send_to(from, encode(nack));
         }
+        host_socket_.send_to(from, encode(ack));
       }
       return;
     }

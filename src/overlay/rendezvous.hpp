@@ -90,8 +90,8 @@ class RendezvousServer {
 
   /// Ungraceful process death: every registration, pending connect and
   /// the server's CAN state are lost, and both UDP ports go deaf until
-  /// restart(). Agents re-discover the loss via probe silence or
-  /// rejected heartbeats and re-register from scratch.
+  /// restart(). Agents re-discover the loss via unanswered or rejected
+  /// heartbeats and re-register from scratch.
   void crash();
   /// The process is back with empty tables; re-bootstraps/re-joins the
   /// CAN overlay (bootstrap when no seed is given).

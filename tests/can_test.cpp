@@ -67,6 +67,34 @@ TEST(CanGeometry, PointCodecRoundTrip) {
   EXPECT_EQ(can::parse_zone(r).value(), Zone::whole(3));
 }
 
+TEST(CanGeometry, ItemCodecRejectsForgedCount) {
+  const TimePoint now{};
+  const std::vector<Item> items{{Point{{0.25, 0.75}}, ByteBuffer(3), kTimeInfinity},
+                                {Point{{0.5, 0.5}}, ByteBuffer{}, kTimeInfinity}};
+  ByteBuffer buf;
+  ByteWriter w{buf};
+  can::encode_items(w, items, now);
+  {
+    ByteReader r{buf};
+    const auto parsed = can::parse_items(r, now);
+    ASSERT_TRUE(parsed);
+    EXPECT_EQ(parsed->size(), 2u);
+    EXPECT_EQ(parsed->front().payload.size(), 3u);
+  }
+  // The same bytes behind an inflated count: a reserve sized from the
+  // wire would throw mid-simulation; the parser must just refuse.
+  for (const std::uint32_t forged : {0xFFFFFFFFu, 0x10000000u, 3u}) {
+    ByteBuffer bad;
+    ByteWriter bw{bad};
+    bw.u32(forged);
+    bad.insert(bad.end(), buf.begin() + 4, buf.end());
+    ByteReader r{bad};
+    std::optional<std::vector<Item>> parsed;
+    EXPECT_NO_THROW(parsed = can::parse_items(r, now)) << forged;
+    EXPECT_FALSE(parsed) << forged;
+  }
+}
+
 /// In-memory overlay harness: N CAN nodes exchanging messages through the
 /// simulator with a fixed delivery delay.
 class Overlay {

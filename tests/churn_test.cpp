@@ -175,8 +175,21 @@ TEST(ChurnEngineTest, ShardCrashRehomesItsPopulation) {
   plan.min_session = seconds(10000);
   plan.connect_fanout = 0;
   ChurnWorld world{2, 12, plan};
+  const HostAgent::Config& cfg = world.agents.front()->config();
+  const Duration hb = cfg.heartbeat_interval;
+  const auto n_silent = static_cast<std::int64_t>(cfg.rendezvous_probe_failures);
   world.engine->start();
-  world.sim.run_for(seconds(30));
+  // Six heartbeat intervals of a quiet fleet: no dials, so the shards
+  // must see heartbeats but no queries (liveness rides the heartbeat
+  // ack), and the acks keep every agent on its home shard.
+  world.sim.run_for(plan.ramp + hb * 6);
+  for (const auto& shard : world.shards) {
+    EXPECT_GT(shard->stats().heartbeats, 0u);
+    EXPECT_EQ(shard->stats().queries, 0u);
+  }
+  for (const auto& agent : world.agents) {
+    EXPECT_EQ(agent->rendezvous_failovers(), 0u) << agent->self_info().name;
+  }
 
   // Both shards carry part of the population (hash homing).
   const std::size_t on_rv0 = world.shards[0]->registered_hosts();
@@ -186,8 +199,9 @@ TEST(ChurnEngineTest, ShardCrashRehomesItsPopulation) {
   EXPECT_GT(on_rv1, 0u);
 
   world.shards[1]->crash();
-  // Detection worst case: ~3 heartbeat probes apart plus registration
-  // backoff; 90 s is comfortably past it.
+  // Failover fires on the heartbeat tick after N unanswered heartbeats,
+  // so detection takes at most (N+1) heartbeat intervals; 90 s is
+  // comfortably past it.
   world.sim.run_for(seconds(90));
 
   EXPECT_EQ(world.shards[0]->registered_hosts(), 12u);
@@ -203,6 +217,10 @@ TEST(ChurnEngineTest, ShardCrashRehomesItsPopulation) {
       world.sim.metrics().find_histogram("overlay.rehome_ms", "fleet");
   ASSERT_NE(h, nullptr);
   EXPECT_GE(h->count(), on_rv1);
+  // The heartbeat timer is not jittered: each re-home reads (N+1)·H from
+  // the last ack plus one registration round trip to the surviving shard.
+  EXPECT_GE(h->summary().min(), to_milliseconds(hb * n_silent));
+  EXPECT_LE(h->summary().max(), to_milliseconds(hb * (n_silent + 1) + seconds(1)));
 }
 
 TEST(ChurnEngineTest, CrashedHostExpiresFromShardTable) {

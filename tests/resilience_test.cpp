@@ -248,8 +248,8 @@ TEST(Resilience, NatRebootRecoveredByRepunch) {
 
 TEST(Resilience, FailsOverToBackupRendezvous) {
   // Two rendezvous servers share a CAN; the agents start on server 1,
-  // which then dies. Liveness probes notice the silence and the agents
-  // re-register with the backup — after which queries and *new*
+  // which then dies. Unanswered heartbeats reveal the silence and the
+  // agents re-register with the backup — after which queries and *new*
   // connections work again.
   sim::Simulation sim;
   fabric::Network network{sim};
