@@ -135,7 +135,7 @@ void BM_TcpBulkTransfer1MiB(benchmark::State& state) {
     tcp::TcpLayer tb{b};
     std::uint64_t received = 0;
     tb.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-      conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+      conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
         received += net::total_size(chunks);
       });
     });

@@ -53,11 +53,13 @@ void HttpServer::add_resource(const std::string& path, ByteSize size) {
 
 void HttpServer::on_connection(const tcp::TcpConnection::Ptr& conn) {
   auto state = std::make_shared<ClientState>();
-  conn->on_data([this, conn, state](const std::vector<net::Chunk>& chunks) {
+  // A raw pointer: a handler holding its own connection's Ptr would keep
+  // the connection alive after it closes.
+  conn->on_data([this, c = conn.get(), state](const std::vector<net::Chunk>& chunks) {
     append_text(state->buffer, chunks);
     const auto end = state->buffer.find(kHeaderEnd);
     if (end == std::string::npos) return;
-    handle_request(conn, state->buffer.substr(0, end));
+    handle_request(c->shared_from_this(), state->buffer.substr(0, end));
     state->buffer.clear();
   });
 }

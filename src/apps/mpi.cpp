@@ -29,7 +29,7 @@ MpiCluster::MpiCluster(std::vector<RankEnv> ranks, std::uint16_t port,
             deliver(r, header.type, header.tag, std::move(payload));
           });
       ranks_[r].framers.push_back(framer);
-      conn->on_data([framer, conn](const std::vector<net::Chunk>& chunks) {
+      conn->on_data([framer](const std::vector<net::Chunk>& chunks) {
         framer->push(chunks);
       });
     });

@@ -21,7 +21,7 @@ void NetperfStream::start(DoneHandler done) {
   series_ = std::make_unique<IntervalSeries>(started_, config_.poll_interval);
 
   receiver_.listen(config_.port, [this](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([this, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([this](const std::vector<net::Chunk>& chunks) {
       const std::uint64_t n = net::total_size(chunks);
       received_ += n;
       series_->add(sender_.sim().now(), static_cast<double>(n));
@@ -86,7 +86,7 @@ void TtcpTransfer::start(DoneHandler done) {
   started_ = sender_.sim().now();
 
   receiver_.listen(config_.port, [this](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([this, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([this, c = conn.get()](const std::vector<net::Chunk>& chunks) {
       received_ += net::total_size(chunks);
       if (received_ >= config_.total_bytes && !finished_) {
         finished_ = true;
@@ -94,7 +94,7 @@ void TtcpTransfer::start(DoneHandler done) {
         r.bytes = ByteSize{received_};
         r.elapsed = sender_.sim().now() - started_;
         r.rate_kbps = static_cast<double>(received_) / 1024.0 / to_seconds(r.elapsed);
-        conn->close();
+        c->close();
         if (done_) done_(r);
       }
     });

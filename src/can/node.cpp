@@ -1031,15 +1031,26 @@ void CanNode::prune_expired_items() {
 
 void CanNode::add_items_sorted_by_distance(const Point& p, std::vector<Item>& out,
                                            std::size_t k) const {
+  // Rank the live items by distance, computed once each, and copy only the
+  // k nearest. The ranks sort with the same distance-only comparator the
+  // items would, so introsort takes the same steps and records at equal
+  // distance come out in the same order as sorting the items themselves.
+  struct Ranked {
+    double distance;
+    std::size_t index;
+  };
   const TimePoint now = sim_.now();
-  out.clear();
-  for (const auto& item : items_) {
-    if (item.expires > now) out.push_back(item);
+  std::vector<Ranked> ranked;
+  ranked.reserve(items_.size());
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    if (items_[i].expires > now) ranked.push_back({point_distance_sq(items_[i].point, p), i});
   }
-  std::sort(out.begin(), out.end(), [&](const Item& a, const Item& b) {
-    return point_distance_sq(a.point, p) < point_distance_sq(b.point, p);
-  });
-  if (out.size() > k) out.resize(k);
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& a, const Ranked& b) { return a.distance < b.distance; });
+  const std::size_t n = std::min(k, ranked.size());
+  out.clear();
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(items_[ranked[i].index]);
 }
 
 }  // namespace wav::can

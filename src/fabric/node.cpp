@@ -17,12 +17,13 @@ sim::Simulation& Node::sim() const noexcept { return network_.sim(); }
 std::size_t Node::attach_interface(Link& link, net::Ipv4Address addr,
                                    net::Ipv4Subnet subnet) {
   interfaces_.push_back(Interface{&link, addr, subnet});
+  local_addresses_.insert(
+      std::lower_bound(local_addresses_.begin(), local_addresses_.end(), addr), addr);
   return interfaces_.size() - 1;
 }
 
 bool Node::owns_address(net::Ipv4Address a) const noexcept {
-  return std::any_of(interfaces_.begin(), interfaces_.end(),
-                     [a](const Interface& i) { return i.address == a; });
+  return std::binary_search(local_addresses_.begin(), local_addresses_.end(), a);
 }
 
 net::Ipv4Address Node::primary_address() const noexcept {

@@ -98,6 +98,9 @@ class Node {
   Network& network_;
   std::string name_;
   std::vector<Interface> interfaces_;
+  // Every interface address, sorted: owns_address runs on each packet
+  // arrival, and the Internet core has one interface per attached host.
+  std::vector<net::Ipv4Address> local_addresses_;
 
   struct RouteEntry {
     net::Ipv4Subnet dest;

@@ -46,7 +46,7 @@ void MigrationTask::start() {
         [this](const net::FrameHeader& header, std::vector<net::Chunk>) {
           on_receiver_message(header);
         });
-        conn->on_data([this, conn](const std::vector<net::Chunk>& chunks) {
+        conn->on_data([this](const std::vector<net::Chunk>& chunks) {
           receiver_framer_->push(chunks);
         });
       },

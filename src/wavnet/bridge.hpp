@@ -44,6 +44,12 @@ class SoftwareBridge {
  public:
   explicit SoftwareBridge(sim::Simulation& sim, Duration fdb_ttl = seconds(300),
                           Duration latency = microseconds(2));
+  /// Clears its ports' back-pointers: a port may outlive the bridge (an
+  /// IpopHost is a port that owns its bridge as a member).
+  ~SoftwareBridge();
+
+  SoftwareBridge(const SoftwareBridge&) = delete;
+  SoftwareBridge& operator=(const SoftwareBridge&) = delete;
 
   void attach(BridgePort& port);
   void detach(BridgePort& port);

@@ -3,6 +3,7 @@
 // loopback transport with per-message delivery delay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -230,6 +231,69 @@ TEST(CanOverlay, EraseRemovesRecord) {
   overlay.nodes_[1]->erase(p, to_bytes("gone"));
   overlay.sim_.run_for(seconds(1));
   for (const auto& n : overlay.nodes_) EXPECT_TRUE(n->items().empty());
+}
+
+TEST(CanOverlay, QueryReturnsTheKNearestLiveItemsInSortedOrder) {
+  // One node owns the whole space, so the reply is exactly its own
+  // k-nearest selection, with no neighbor expansion.
+  Overlay overlay{1};
+  CanNode& node = *overlay.nodes_[0];
+  Rng rng{11};
+  for (int i = 0; i < 40; ++i) {
+    node.store(Point::random(rng, 2), to_bytes("live-" + std::to_string(i)));
+  }
+  // Records that tie on distance: several payloads at one point, and
+  // points mirrored around the query point.
+  for (int i = 0; i < 4; ++i) {
+    node.store(Point{{0.25, 0.5}}, to_bytes("shared-" + std::to_string(i)));
+  }
+  node.store(Point{{0.75, 0.5}}, to_bytes("mirror-x"));
+  node.store(Point{{0.5, 0.25}}, to_bytes("mirror-y"));
+  // Expired by query time, and nearer the query point than anything live.
+  for (int i = 0; i < 10; ++i) {
+    node.store(Point{{0.5, 0.5 + 0.001 * i}}, to_bytes("stale-" + std::to_string(i)),
+               milliseconds(500));
+  }
+  overlay.sim_.run_for(seconds(1));
+  const std::size_t live = 46;
+  ASSERT_EQ(node.items().size(), live + 10) << "expired items must still be stored";
+
+  const Point target{{0.5, 0.5}};
+  const auto reference = [&](std::size_t k) {
+    std::vector<Item> ranked;
+    for (const auto& item : node.items()) {
+      if (item.expires > overlay.sim_.now()) ranked.push_back(item);
+    }
+    const auto dist = [&](const Item& item) {
+      double d2 = 0.0;
+      for (std::size_t i = 0; i < item.point.dims(); ++i) {
+        const double d = item.point.coords[i] - target.coords[i];
+        d2 += d * d;
+      }
+      return d2;
+    };
+    std::sort(ranked.begin(), ranked.end(),
+              [&](const Item& a, const Item& b) { return dist(a) < dist(b); });
+    if (ranked.size() > k) ranked.resize(k);
+    return ranked;
+  };
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7}, std::size_t{30}, live,
+                              std::size_t{64}}) {
+    const std::vector<Item> expected = reference(k);
+    ASSERT_EQ(expected.size(), std::min(k, live));
+    bool answered = false;
+    node.query(target, k, [&](std::vector<Item> items) {
+      answered = true;
+      ASSERT_EQ(items.size(), expected.size()) << "k=" << k;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        EXPECT_EQ(items[i].point, expected[i].point) << "k=" << k << " rank " << i;
+        EXPECT_EQ(items[i].payload, expected[i].payload) << "k=" << k << " rank " << i;
+      }
+    });
+    overlay.sim_.run_for(milliseconds(100));
+    EXPECT_TRUE(answered) << "k=" << k;
+  }
 }
 
 TEST(CanOverlay, RoutingHopsAreBounded) {

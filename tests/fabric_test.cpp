@@ -342,6 +342,49 @@ TEST(Icmp, AutoResponderAndIdDemux) {
   EXPECT_EQ(icmp_b.stats().requests_answered, 3u);
 }
 
+TEST(Node, OwnsAddressesAttachedOutOfOrder) {
+  sim::Simulation sim;
+  fabric::Network network{sim};
+  auto& core = network.add_node<fabric::InternetNode>("core");
+  const auto core_ip = [](std::uint8_t d) { return net::Ipv4Address::from_octets(10, 255, 0, d); };
+  // The core's addresses attach descending and interleaved, one per host.
+  const std::vector<net::Ipv4Address> core_addrs{core_ip(9), core_ip(3), core_ip(7), core_ip(1)};
+  std::vector<fabric::HostNode*> hosts;
+  for (std::size_t i = 0; i < core_addrs.size(); ++i) {
+    auto& host = network.add_node<fabric::HostNode>("h" + std::to_string(i));
+    const auto host_addr =
+        net::Ipv4Address::from_octets(100, 66, 0, static_cast<std::uint8_t>(i + 1));
+    network.connect(host, {host_addr, {host_addr, 32}}, core,
+                    {core_addrs[i], {core_addrs[i], 32}}, fabric::LinkConfig{});
+    host.set_default_route(0);
+    core.add_route({host_addr, 32}, core.interfaces().size() - 1);
+    hosts.push_back(&host);
+  }
+
+  for (const auto a : core_addrs) EXPECT_TRUE(core.owns_address(a)) << a.to_string();
+  EXPECT_FALSE(core.owns_address(core_ip(2)));
+  EXPECT_FALSE(core.owns_address(core_ip(8)));
+  EXPECT_FALSE(core.owns_address(core_ip(10)));
+  EXPECT_FALSE(core.owns_address(hosts[2]->primary_address()));
+  EXPECT_EQ(core.primary_address(), core_addrs.front());
+
+  // A datagram to the core's own address on host 2's link stops at the
+  // core; one to host 2 itself is forwarded.
+  stack::UdpLayer udp{*hosts[0]};
+  stack::UdpSocket tx{udp, 10};
+  tx.send_to({core_addrs[2], 9}, net::Chunk::virtual_bytes(100));
+  sim.run_for(seconds(1));
+  EXPECT_EQ(core.stats().rx_packets, 1u);
+  EXPECT_EQ(core.stats().forwarded, 0u);
+  EXPECT_EQ(hosts[2]->stats().rx_packets, 0u);
+
+  tx.send_to({hosts[2]->primary_address(), 9}, net::Chunk::virtual_bytes(100));
+  sim.run_for(seconds(1));
+  EXPECT_EQ(core.stats().rx_packets, 2u);
+  EXPECT_EQ(core.stats().forwarded, 1u);
+  EXPECT_EQ(hosts[2]->stats().rx_packets, 1u);
+}
+
 TEST(Udp, EphemeralPortsAndRebind) {
   fabric::LinkConfig cfg;
   DirectPair env{cfg};

@@ -53,7 +53,7 @@ TEST_P(TcpConditionSweep, ByteExactDeliveryAndCompletion) {
   std::uint64_t virtual_expected = 0;
   std::uint64_t virtual_got = 0;
   tb.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&](const std::vector<net::Chunk>& chunks) {
       for (const auto& c : chunks) {
         if (c.is_virtual()) {
           virtual_got += c.virtual_size;
@@ -209,7 +209,7 @@ TEST(Determinism, IdenticalSeedsReplayIdentically) {
     tcp::TcpLayer tb{b};
     std::uint64_t received = 0;
     tb.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-      conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+      conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
         received += net::total_size(chunks);
       });
     });

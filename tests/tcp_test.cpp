@@ -38,7 +38,7 @@ TEST(Tcp, HandshakeAndSmallTransfer) {
   bool accepted = false;
   tcp_b.listen(80, [&](tcp::TcpConnection::Ptr conn) {
     accepted = true;
-    conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
       for (const auto& c : chunks) received += bytes_to_string(c.real);
     });
   });
@@ -65,7 +65,7 @@ TEST(Tcp, BulkTransferReachesLinkRate) {
 
   std::uint64_t received = 0;
   tcp_b.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
       received += net::total_size(chunks);
     });
   });
@@ -92,7 +92,7 @@ TEST(Tcp, BulkTransferTimed) {
   std::uint64_t received = 0;
   TimePoint done{};
   tcp_b.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&](const std::vector<net::Chunk>& chunks) {
       received += net::total_size(chunks);
       if (received >= kTransfer) done = env.sim.now();
     });
@@ -120,7 +120,7 @@ TEST(Tcp, RecoversFromLoss) {
   const std::uint64_t kTransfer = 2ull * 1024 * 1024;
   std::uint64_t received = 0;
   tcp_b.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
       received += net::total_size(chunks);
     });
   });
@@ -140,9 +140,9 @@ TEST(Tcp, OrderlyClose) {
   tcp::TcpConnection::Ptr server_conn;
   tcp_b.listen(80, [&](tcp::TcpConnection::Ptr conn) {
     server_conn = conn;
-    conn->on_peer_closed([&server_saw_close, conn] {
+    conn->on_peer_closed([&server_saw_close, server = conn.get()] {
       server_saw_close = true;
-      conn->close();  // close our side too
+      server->close();  // close our side too
     });
   });
 
@@ -186,9 +186,9 @@ TEST(Tcp, DataFlowsBothDirections) {
 
   std::string server_got, client_got;
   tcp_b.listen(7, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&, server = conn.get()](const std::vector<net::Chunk>& chunks) {
       for (const auto& c : chunks) server_got += bytes_to_string(c.real);
-      conn->send_bytes("pong");
+      server->send_bytes("pong");
     });
   });
   auto conn = tcp_a.connect({env.b->primary_address(), 7});
@@ -209,7 +209,7 @@ TEST(Tcp, SmoothedRttTracksLinkDelay) {
   tcp::TcpLayer tcp_b{*env.b};
 
   tcp_b.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([conn](const std::vector<net::Chunk>&) {});
+    conn->on_data([](const std::vector<net::Chunk>&) {});
   });
   auto conn = tcp_a.connect({env.b->primary_address(), 5001});
   conn->on_established([&] { conn->send_virtual(256 * 1024); });

@@ -181,7 +181,7 @@ TEST(Migration, TcpSessionToVmSurvives) {
   tcp::TcpLayer vm_tcp{vm1->stack()};
   std::uint64_t received = 0;
   vm_tcp.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
       received += net::total_size(chunks);
     });
   });

@@ -214,7 +214,7 @@ TEST(Wavnet, TcpOverVirtualPlaneAcrossNats) {
   const std::uint64_t kTransfer = 4ull * 1024 * 1024;
   std::uint64_t received = 0;
   tcp_b.listen(5001, [&](tcp::TcpConnection::Ptr conn) {
-    conn->on_data([&received, conn](const std::vector<net::Chunk>& chunks) {
+    conn->on_data([&received](const std::vector<net::Chunk>& chunks) {
       received += net::total_size(chunks);
     });
   });
