@@ -1,5 +1,6 @@
 #include "fabric/internet.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/log.hpp"
@@ -21,7 +22,8 @@ void note_flow_drop(sim::Simulation& sim, const net::IpPacket& pkt,
 }  // namespace
 
 InternetNode::InternetNode(Network& network, std::string name)
-    : Node(network, std::move(name)) {
+    : Node(network, std::move(name)),
+      departures_(sim(), [this](Departure&& d) { transmit(*d.out, std::move(d.pkt)); }) {
   c_partition_drops_ = &sim().metrics().counter("internet.partition_drops", this->name());
 }
 
@@ -103,14 +105,11 @@ void InternetNode::forward(net::IpPacket pkt, Link& from) {
   }
   // FIFO clamp: jittered core delay must not reorder a directed flow.
   const std::uint64_t dir_key = (static_cast<std::uint64_t>(in_idx) << 32) | out_idx;
-  TimePoint depart = sim().now() + extra;
-  TimePoint& last = last_forward_[dir_key];
-  if (depart < last) depart = last;
-  last = depart;
-  sim().schedule_at(depart, WAV_PROF_CATEGORY("internet", "forward"),
-                    [this, out, pkt = std::move(pkt)]() mutable {
-    transmit(*out, std::move(pkt));
-  });
+  Direction& dir = directions_[dir_key];
+  const TimePoint depart = std::max(sim().now() + extra, dir.last_depart);
+  dir.last_depart = depart;
+  departures_.push(dir.held, depart, WAV_PROF_CATEGORY("internet", "forward"),
+                   Departure{out, std::move(pkt)});
 }
 
 }  // namespace wav::fabric

@@ -11,6 +11,7 @@
 #include <unordered_set>
 
 #include "fabric/node.hpp"
+#include "sim/delay_line.hpp"
 
 namespace wav::fabric {
 
@@ -60,9 +61,21 @@ class InternetNode : public Node {
   std::unordered_map<const Link*, std::size_t> iface_by_link_;
   std::uint64_t partition_drops_{0};
   obs::Counter* c_partition_drops_{nullptr};
-  // FIFO clamp per directed (in,out) interface pair: core jitter must
-  // not reorder packets of one flow.
-  std::unordered_map<std::uint64_t, TimePoint> last_forward_;
+
+  /// A packet held in the core for its path delay.
+  struct Departure {
+    const Interface* out{nullptr};
+    net::IpPacket pkt;
+  };
+  /// Per directed (in,out) interface pair: the FIFO clamp (core jitter
+  /// must not reorder packets of one flow) and the packets held for their
+  /// path delay, in departure order. Only each line's head is an event.
+  struct Direction {
+    TimePoint last_depart{};
+    sim::DelayLines<Departure>::Line held;
+  };
+  std::unordered_map<std::uint64_t, Direction> directions_;
+  sim::DelayLines<Departure> departures_;
 };
 
 }  // namespace wav::fabric

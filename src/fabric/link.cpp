@@ -103,10 +103,11 @@ void Link::transmit(const Node& from, net::IpPacket pkt) {
     enqueue_burst(dir, dest, arrival, std::move(pkt));
     return;
   }
-  sim_.schedule_at(arrival, WAV_PROF_CATEGORY("link", "deliver"),
-                   [this, &dest, pkt = std::move(pkt)]() mutable {
+  auto deliver = [this, &dest, pkt = std::move(pkt)]() mutable {
     dest.receive_from_link(std::move(pkt), *this);
-  });
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(deliver)>);
+  sim_.schedule_at(arrival, WAV_PROF_CATEGORY("link", "deliver"), std::move(deliver));
 }
 
 void Link::enqueue_burst(DirectionState& dir, Node& dest, TimePoint arrival,

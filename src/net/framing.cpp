@@ -46,7 +46,17 @@ void MessageFramer::drain() {
       auto got = buffer_.pop_up_to(current_->length - payload_received_);
       if (got.empty()) return;
       payload_received_ += total_size(got);
-      for (auto& piece : got) payload_.push_back(std::move(piece));
+      for (auto& piece : got) {
+        // Runs of virtual bytes collapse into one chunk: a bulk message
+        // arrives one MSS at a time, and a descriptor per segment made a
+        // 512 MiB migration round hold a 16 MB vector for no information.
+        if (piece.is_virtual() && piece.real.empty() && !payload_.empty() &&
+            payload_.back().is_virtual() && payload_.back().real.empty()) {
+          payload_.back().virtual_size += piece.virtual_size;
+        } else {
+          payload_.push_back(std::move(piece));
+        }
+      }
       if (payload_received_ < current_->length) return;
     }
     const FrameHeader header = *current_;

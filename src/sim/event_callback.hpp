@@ -1,13 +1,18 @@
 // Move-only callable holder for scheduled events.
 //
 // std::function's small-object buffer (16 bytes on libstdc++) is too
-// small for the simulator's typical callbacks — a capture of `this` plus
-// a refcounted frame and a couple of scalars — so scheduling through
-// std::function heap-allocates on the hot path. EventCallback widens the
-// inline buffer to kInlineBytes (covering essentially every callback in
-// the tree) and only falls back to the heap beyond that, which is what
-// lets the event slab store callbacks in place with zero per-event
-// allocations.
+// small for the simulator's typical callbacks, so scheduling through
+// std::function heap-allocates on the hot path. EventCallback stores any
+// callable of up to kInlineBytes inline and only falls back to the heap
+// beyond that, which lets the event slab hold callbacks in place with no
+// per-event allocation.
+//
+// kInlineBytes is sized to the largest frame-path capture: a link
+// delivery (`this`, the destination node and an IpPacket by value).
+// Every frame-path scheduling site checks its capture with
+// `static_assert(EventCallback::fits_inline<decltype(fn)>)`, so a capture
+// that grows past the buffer fails to compile instead of silently adding
+// a malloc/free pair per hop.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +24,14 @@ namespace wav::sim {
 
 class EventCallback {
  public:
-  /// Inline capacity. 48 bytes fits `this` + shared_ptr + 3 words, the
-  /// largest capture the frame path schedules.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline capacity: `this` + a reference + an 88-byte IpPacket.
+  static constexpr std::size_t kInlineBytes = 104;
+
+  /// True if a callable of type F is stored inline (no allocation).
+  template <class F, class D = std::decay_t<F>>
+  static constexpr bool fits_inline = sizeof(D) <= kInlineBytes &&
+                                      alignof(D) <= alignof(std::max_align_t) &&
+                                      std::is_nothrow_move_constructible_v<D>;
 
   EventCallback() noexcept = default;
 
@@ -30,14 +40,7 @@ class EventCallback {
                                      std::is_invocable_r_v<void, D&>>>
   // NOLINTNEXTLINE(google-explicit-constructor): callable wrapper
   EventCallback(F&& fn) {
-    if constexpr (sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *static_cast<D**>(static_cast<void*>(storage_)) = new D(std::forward<F>(fn));
-      ops_ = &kHeapOps<D>;
-    }
+    construct(std::forward<F>(fn));
   }
 
   EventCallback(EventCallback&& other) noexcept { move_from(std::move(other)); }
@@ -54,6 +57,13 @@ class EventCallback {
   EventCallback& operator=(const EventCallback&) = delete;
 
   ~EventCallback() { reset(); }
+
+  /// Replaces the held callable with `fn`, constructed in place.
+  template <class F>
+  void emplace(F&& fn) {
+    reset();
+    construct(std::forward<F>(fn));
+  }
 
   void operator()() { ops_->invoke(storage_); }
 
@@ -90,6 +100,17 @@ class EventCallback {
         *static_cast<D**>(dst) = *static_cast<D**>(src);
       },
       [](void* s) noexcept { delete *static_cast<D**>(s); }};
+
+  template <class F, class D = std::decay_t<F>>
+  void construct(F&& fn) {
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      ops_ = &kInlineOps<D>;
+    } else {
+      *static_cast<D**>(static_cast<void*>(storage_)) = new D(std::forward<F>(fn));
+      ops_ = &kHeapOps<D>;
+    }
+  }
 
   void move_from(EventCallback&& other) noexcept {
     ops_ = other.ops_;

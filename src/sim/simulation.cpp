@@ -22,9 +22,7 @@ Simulation::Simulation(std::uint64_t seed)
   }
 }
 
-EventId Simulation::schedule_impl(TimePoint at, obs::ProfCategoryId category,
-                                  EventCallback fn, bool relative) {
-  if (at < now_) at = now_;
+std::uint32_t Simulation::acquire_slot(obs::ProfCategoryId category) {
   std::uint32_t idx;
   if (!free_slots_.empty()) {
     idx = free_slots_.back();
@@ -33,18 +31,18 @@ EventId Simulation::schedule_impl(TimePoint at, obs::ProfCategoryId category,
     idx = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
+  slots_[idx].category = category;
+  return idx;
+}
+
+EventId Simulation::enqueue(std::uint32_t idx, EventKey key, bool relative) {
   Slot& slot = slots_[idx];
-  slot.at = at;
-  slot.seq = next_seq_++;
-  slot.category = category;
-  slot.fn = std::move(fn);
   if (relative && timer_wheel_enabled_) {
     slot.heap_pos = kInWheel;
-    wheel_.insert(idx, at, slot.seq);
+    wheel_.insert(idx, key.at, key.seq);
   } else {
-    slot.heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(idx);
-    sift_up(heap_.size() - 1);
+    heap_.push_back(HeapEntry{key, idx});
+    sift_up(heap_.size() - 1, heap_.back());
   }
   return EventId{(static_cast<std::uint64_t>(slot.generation) << 32) | idx};
 }
@@ -75,71 +73,86 @@ bool Simulation::cancel(EventId id) {
   return true;
 }
 
-void Simulation::sift_up(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+// The heap helpers move entry `e` into the hole at `pos` and shift the
+// entries it passes into the hole's old place; only the final position
+// of each moved entry is written back to its slot's heap_pos.
+
+void Simulation::sift_up(std::size_t pos, HeapEntry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / 4;
-    if (!earlier(idx, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    if (!(e.key < heap_[parent].key)) break;
+    heap_place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = idx;
-  slots_[idx].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_place(pos, e);
 }
 
-void Simulation::sift_down(std::size_t pos) {
-  const std::uint32_t idx = heap_[pos];
+std::size_t Simulation::min_child(std::size_t pos) const {
+  const std::size_t first_child = pos * 4 + 1;
   const std::size_t n = heap_.size();
+  if (first_child >= n) return n;
+  std::size_t best = first_child;
+  const std::size_t end = std::min(first_child + 4, n);
+  for (std::size_t c = first_child + 1; c < end; ++c) {
+    if (heap_[c].key < heap_[best].key) best = c;
+  }
+  return best;
+}
+
+void Simulation::sift_down(std::size_t pos, HeapEntry e) {
   for (;;) {
-    const std::size_t first_child = pos * 4 + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t end = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < end; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], idx)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
+    const std::size_t best = min_child(pos);
+    if (best == heap_.size() || !(heap_[best].key < e.key)) break;
+    heap_place(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = idx;
-  slots_[idx].heap_pos = static_cast<std::uint32_t>(pos);
+  heap_place(pos, e);
+}
+
+void Simulation::heap_pop() {
+  // Bottom-up removal of the root: the hole follows the smallest child
+  // down to a leaf without comparing against the displaced last entry,
+  // which then sifts up from there. The last entry almost always belongs
+  // near the bottom, so this saves the top-down sift's extra comparison
+  // at every level.
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  std::size_t pos = 0;
+  for (std::size_t best; (best = min_child(pos)) != heap_.size(); pos = best) {
+    heap_place(pos, heap_[best]);
+  }
+  sift_up(pos, last);
 }
 
 void Simulation::heap_remove(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    slots_[heap_[pos]].heap_pos = static_cast<std::uint32_t>(pos);
-  }
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
-  if (pos < heap_.size()) {
-    // The relocated element may belong either direction from `pos`.
-    sift_down(pos);
-    sift_up(slots_[heap_[pos]].heap_pos);
+  if (pos == heap_.size()) return;
+  // The relocated entry may belong either direction from `pos`.
+  if (pos > 0 && last.key < heap_[(pos - 1) / 4].key) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
   }
 }
 
 bool Simulation::pop_and_run_next(TimePoint deadline) {
-  // Merge the two stores by global (time, seq) order: the next event is
-  // the earlier of the heap root and the wheel minimum. `seq` values are
-  // unique across both, so the merge is a strict total order and a run is
-  // byte-identical however events are distributed between the stores.
-  std::uint32_t idx = heap_.empty() ? kNotInHeap : heap_[0];
-  bool from_wheel = false;
-  if (const std::uint32_t widx = wheel_.peek_min(); widx != TimerWheel::kNil) {
-    if (idx == kNotInHeap || earlier(widx, idx)) {
-      idx = widx;
-      from_wheel = true;
-    }
-  }
-  if (idx == kNotInHeap) return false;
+  // Merge the stores by global (time, seq) order: the next event is the
+  // earlier of the heap root and the wheel minimum (cached by the wheel,
+  // so a heap-root win costs one key comparison). `seq` values are unique
+  // across stores, so the merge is a strict total order and a run is
+  // byte-identical however events are distributed between them.
+  const std::uint32_t widx = wheel_.peek_min();
+  const bool from_wheel =
+      widx != TimerWheel::kNil && (heap_.empty() || wheel_.key(widx) < heap_[0].key);
+  if (!from_wheel && heap_.empty()) return false;
+  const EventKey key = from_wheel ? wheel_.key(widx) : heap_[0].key;
+  if (key.at > deadline) return false;
+  assert(key.at >= now_ && "event queue must be monotonic");
+  now_ = key.at;
+  const std::uint32_t idx = from_wheel ? widx : heap_[0].idx;
   Slot& slot = slots_[idx];
-  if (slot.at > deadline) return false;
-  assert(slot.at >= now_ && "event queue must be monotonic");
-  now_ = slot.at;
   // Move the callback out and retire the slot before invoking, so the
   // callback can freely schedule (reusing this slot) or cancel; a cancel
   // of the in-flight event's own id correctly reports false.
@@ -148,12 +161,12 @@ bool Simulation::pop_and_run_next(TimePoint deadline) {
   if (from_wheel) {
     wheel_.extract(idx);
   } else {
-    heap_remove(0);
+    heap_pop();
   }
   release_slot(idx);
   ++executed_;
   events_counter_->inc();
-  queue_depth_gauge_->set(static_cast<double>(heap_.size() + wheel_.size()));
+  queue_depth_gauge_->set(static_cast<double>(pending_events()));
   if (obs::Profiler::enabled()) {
     // Sampled wall-clock attribution rooted at the event's schedule-time
     // category. Purely observational: identical event order with the

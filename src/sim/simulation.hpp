@@ -6,19 +6,24 @@
 // pure function of (program, seed): the foundation for reproducible
 // experiments and property tests.
 //
-// The event store is a slab of reusable slots indexed by two structures:
-// a 4-ary heap of slot numbers keyed on (time, seq) for absolute-time
-// `schedule_at` events, and a hashed hierarchical timer wheel
-// (sim/timer_wheel.hpp) for the much larger rotating population of
-// relative-delay `schedule_after` events — keepalives, RTOs, punch
-// retries — which are overwhelmingly cancelled or re-armed before
-// firing. Scheduling is allocation-free in the steady state (slots
-// recycle; callbacks live inline in the slot, see event_callback.hpp),
+// The event store is a slab of reusable slots indexed by three
+// structures, all ordered by the same EventKey (sim/event_key.hpp):
+//  - a 4-ary heap of (key, slot) entries for absolute-time `schedule_at`
+//    events; the key lives in the heap entry, so sifting never reads the
+//    slab;
+//  - a hashed hierarchical timer wheel (sim/timer_wheel.hpp) for the much
+//    larger rotating population of relative-delay `schedule_after` events
+//    — keepalives, RTOs, punch retries — which are overwhelmingly
+//    cancelled or re-armed before firing;
+//  - delay lines (sim/delay_line.hpp): FIFOs whose entries fire in key
+//    order but of which only the head is on the heap.
+// Scheduling is allocation-free in the steady state (slots recycle;
+// callbacks live inline in the slot, see event_callback.hpp),
 // cancellation is a true removal in either store (O(log n) heap /
 // O(1) wheel), and pending_events() is exact — there are no tombstones
 // to drift. EventIds carry a per-slot generation so a stale id (event
 // already fired or cancelled, slot since reused) is always rejected.
-// The executor merges both stores by global (time, seq) order, so a run
+// The executor merges the stores by global (time, seq) order, so a run
 // is byte-identical whether the wheel is enabled or not.
 #pragma once
 
@@ -35,9 +40,13 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_callback.hpp"
+#include "sim/event_key.hpp"
 #include "sim/timer_wheel.hpp"
 
 namespace wav::sim {
+
+template <class T>
+class DelayLines;
 
 /// Handle for cancelling a scheduled event. Id 0 is "invalid". The value
 /// packs (slot generation << 32 | slot index) and is opaque to callers.
@@ -62,7 +71,7 @@ class Simulation {
   /// void() callable; small captures are stored inline in the event slab.
   template <class F>
   EventId schedule_at(TimePoint at, F&& fn) {
-    return schedule_impl(at, obs::kProfCategoryNone, EventCallback(std::forward<F>(fn)),
+    return schedule_impl(at, obs::kProfCategoryNone, std::forward<F>(fn),
                          /*relative=*/false);
   }
 
@@ -72,8 +81,8 @@ class Simulation {
   template <class F>
   EventId schedule_after(Duration delay, F&& fn) {
     if (delay < kZeroDuration) delay = kZeroDuration;
-    return schedule_impl(now_ + delay, obs::kProfCategoryNone,
-                         EventCallback(std::forward<F>(fn)), /*relative=*/true);
+    return schedule_impl(now_ + delay, obs::kProfCategoryNone, std::forward<F>(fn),
+                         /*relative=*/true);
   }
 
   /// Tagged variants: the category (from WAV_PROF_CATEGORY) rides in the
@@ -83,15 +92,13 @@ class Simulation {
   /// identical to the untagged overloads.
   template <class F>
   EventId schedule_at(TimePoint at, obs::ProfCategoryId category, F&& fn) {
-    return schedule_impl(at, category, EventCallback(std::forward<F>(fn)),
-                         /*relative=*/false);
+    return schedule_impl(at, category, std::forward<F>(fn), /*relative=*/false);
   }
 
   template <class F>
   EventId schedule_after(Duration delay, obs::ProfCategoryId category, F&& fn) {
     if (delay < kZeroDuration) delay = kZeroDuration;
-    return schedule_impl(now_ + delay, category, EventCallback(std::forward<F>(fn)),
-                         /*relative=*/true);
+    return schedule_impl(now_ + delay, category, std::forward<F>(fn), /*relative=*/true);
   }
 
   /// Cancels a pending event; returns false if it already ran, was
@@ -116,9 +123,10 @@ class Simulation {
 
   /// Number of events executed since construction (for tests/diagnostics).
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
-  /// Exact count of scheduled-but-not-yet-fired events (both stores).
+  /// Exact count of scheduled-but-not-yet-fired events (every store,
+  /// including delay-line entries queued behind their line's head).
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return heap_.size() + wheel_.size();
+    return heap_.size() + wheel_.size() + parked_;
   }
 
   /// Routes future `schedule_after` events through the timer wheel (on by
@@ -152,33 +160,66 @@ class Simulation {
   }
 
  private:
+  template <class T>
+  friend class DelayLines;
+
   static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
   /// heap_pos sentinel: the slot lives on the timer wheel, not the heap.
   static constexpr std::uint32_t kInWheel = 0xFFFFFFFEu;
 
   /// One slab slot. Reused across events; `generation` distinguishes the
-  /// incarnations so stale EventIds never alias a newer event.
+  /// incarnations so stale EventIds never alias a newer event. The firing
+  /// key is kept by the store that holds the slot, not here.
   struct Slot {
-    TimePoint at{};
-    std::uint64_t seq{0};  // tiebreaker: FIFO among same-time events
     std::uint32_t generation{1};
     std::uint32_t heap_pos{kNotInHeap};
     obs::ProfCategoryId category{obs::kProfCategoryNone};  // profiler tag
     EventCallback fn;
   };
 
-  EventId schedule_impl(TimePoint at, obs::ProfCategoryId category, EventCallback fn,
-                        bool relative);
-  void release_slot(std::uint32_t idx);
-  /// Strict total order: (at, seq); seq values are unique.
-  [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const noexcept {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  struct HeapEntry {
+    EventKey key;
+    std::uint32_t idx;  // slab slot
+  };
+
+  template <class F>
+  EventId schedule_impl(TimePoint at, obs::ProfCategoryId category, F&& fn,
+                        bool relative) {
+    if (at < now_) at = now_;
+    const std::uint32_t idx = acquire_slot(category);
+    slots_[idx].fn.emplace(std::forward<F>(fn));
+    return enqueue(idx, EventKey{at, next_seq_++}, relative);
   }
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
+
+  /// Delay-line support: an entry queued behind its line's head takes its
+  /// sequence number when it is queued — when a plain schedule_at would
+  /// have taken it — and enters the heap under that key once it becomes
+  /// the head. pending_events() counts it all along.
+  std::uint64_t park() noexcept {
+    ++parked_;
+    return next_seq_++;
+  }
+  void unpark() noexcept { --parked_; }
+  template <class F>
+  EventId schedule_parked(EventKey key, obs::ProfCategoryId category, F&& fn) {
+    --parked_;
+    const std::uint32_t idx = acquire_slot(category);
+    slots_[idx].fn.emplace(std::forward<F>(fn));
+    return enqueue(idx, key, /*relative=*/false);
+  }
+
+  std::uint32_t acquire_slot(obs::ProfCategoryId category);
+  EventId enqueue(std::uint32_t idx, EventKey key, bool relative);
+  void release_slot(std::uint32_t idx);
+  void heap_place(std::size_t pos, const HeapEntry& e) {
+    heap_[pos] = e;
+    slots_[e.idx].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Index of `pos`'s earliest child, or heap_.size() if it has none.
+  [[nodiscard]] std::size_t min_child(std::size_t pos) const;
+  void sift_up(std::size_t pos, HeapEntry e);
+  void sift_down(std::size_t pos, HeapEntry e);
+  void heap_pop();
   void heap_remove(std::size_t pos);
   bool pop_and_run_next(TimePoint deadline);
 
@@ -186,10 +227,11 @@ class Simulation {
   Rng rng_;
   std::vector<Slot> slots_;               // slab; grows, never shrinks
   std::vector<std::uint32_t> free_slots_; // recycled slot indices
-  std::vector<std::uint32_t> heap_;       // 4-ary min-heap of slot indices
+  std::vector<HeapEntry> heap_;           // 4-ary min-heap on EventKey
   TimerWheel wheel_;                      // relative-delay (timer) events
   bool timer_wheel_enabled_{true};
   std::uint64_t next_seq_{1};
+  std::size_t parked_{0};                 // delay-line entries behind a head
   std::uint64_t executed_{0};
   bool stopped_{false};
 

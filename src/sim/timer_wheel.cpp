@@ -26,10 +26,17 @@ void TimerWheel::insert(std::uint32_t idx, TimePoint at, std::uint64_t seq) {
   if (idx >= nodes_.size()) nodes_.resize(static_cast<std::size_t>(idx) + 1);
   Node& n = nodes_[idx];
   assert(n.bucket == kUnqueued && "slot already queued in the wheel");
-  n.at = at;
-  n.seq = seq;
+  n.key = EventKey{at, seq};
   n.prev = n.next = kNil;
   place(idx);
+  // An empty wheel's minimum is the newcomer; otherwise the newcomer can
+  // only displace a known minimum (an unknown one is rescanned on demand).
+  if (count_ == 0) {
+    min_ = idx;
+    min_known_ = true;
+  } else if (min_known_ && n.key < nodes_[min_].key) {
+    min_ = idx;
+  }
   ++count_;
 }
 
@@ -37,20 +44,23 @@ void TimerWheel::remove(std::uint32_t idx) {
   assert(idx < nodes_.size() && nodes_[idx].bucket != kUnqueued);
   unlink(idx);
   --count_;
+  if (idx == min_) min_known_ = false;
 }
 
 void TimerWheel::extract(std::uint32_t idx) {
   assert(idx < nodes_.size() && nodes_[idx].bucket != kUnqueued);
-  const std::uint64_t t = tick_of(nodes_[idx].at);
+  assert(idx == peek_min() && "extract must take the wheel minimum");
+  const std::uint64_t t = tick_of(nodes_[idx].key.at);
   assert(t >= cursor_ && "extract must move forward in time");
   unlink(idx);
   --count_;
+  min_known_ = false;
   advance_to(t);
 }
 
 void TimerWheel::place(std::uint32_t idx) {
   Node& n = nodes_[idx];
-  const std::uint64_t t = tick_of(n.at);
+  const std::uint64_t t = tick_of(n.key.at);
   assert(t >= cursor_ && "wheel deadlines are never in the past");
   for (unsigned level = 0; level < kLevels; ++level) {
     if (block_at(t, level) == block_at(cursor_, level)) {
@@ -125,15 +135,20 @@ int TimerWheel::next_occupied(unsigned level, unsigned from) const {
 std::uint32_t TimerWheel::list_min(const BucketList& list) const {
   std::uint32_t best = kNil;
   for (std::uint32_t i = list.head; i != kNil; i = nodes_[i].next) {
-    if (best == kNil || nodes_[i].at < nodes_[best].at ||
-        (nodes_[i].at == nodes_[best].at && nodes_[i].seq < nodes_[best].seq)) {
-      best = i;
-    }
+    if (best == kNil || nodes_[i].key < nodes_[best].key) best = i;
   }
   return best;
 }
 
-std::uint32_t TimerWheel::peek_min() const {
+std::uint32_t TimerWheel::peek_min() {
+  if (!min_known_) {
+    min_ = scan_min();
+    min_known_ = true;
+  }
+  return min_;
+}
+
+std::uint32_t TimerWheel::scan_min() const {
   if (count_ == 0) return kNil;
   // Levels hold disjoint, strictly increasing tick ranges relative to the
   // cursor: level 0's remaining block precedes every remaining level-1

@@ -20,7 +20,10 @@
 // popped — and it jumps straight to the popped deadline's tick, cascading
 // exactly the slots that cover it, because the popped event is the wheel
 // minimum so every slot in between is provably empty. Per-level occupancy
-// bitmaps make the min scan a handful of word scans.
+// bitmaps make the min scan a handful of word scans, and the result is
+// cached: an insert only compares against the cached minimum, so the scan
+// runs once per departure of the minimum (extract, or remove of that
+// node), not on every executor pop.
 //
 // Nodes are addressed by the owning Simulation's slab-slot index, so an
 // EventId cancels identically whether its event lives here or on the
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "sim/event_key.hpp"
 
 namespace wav::sim {
 
@@ -61,8 +65,12 @@ class TimerWheel {
   void remove(std::uint32_t idx);
 
   /// Index of the earliest (deadline, seq) timer, or kNil when empty.
-  /// Read-only: never advances the cursor or cascades.
-  [[nodiscard]] std::uint32_t peek_min() const;
+  /// Never advances the cursor or cascades; rescans only when the cached
+  /// minimum has left the wheel.
+  [[nodiscard]] std::uint32_t peek_min();
+
+  /// Firing key of queued node `idx`.
+  [[nodiscard]] const EventKey& key(std::uint32_t idx) const { return nodes_[idx].key; }
 
   /// Removes `idx` — which must be the current peek_min() — and advances
   /// the cursor to its tick, cascading the covering higher-level slots.
@@ -85,8 +93,7 @@ class TimerWheel {
   static constexpr std::uint16_t kUnqueued = 0xFFFF;
 
   struct Node {
-    TimePoint at{};
-    std::uint64_t seq{0};
+    EventKey key;
     std::uint32_t prev{kNil};
     std::uint32_t next{kNil};
     std::uint16_t bucket{kUnqueued};
@@ -109,6 +116,7 @@ class TimerWheel {
 
   [[nodiscard]] int next_occupied(unsigned level, unsigned from) const;
   [[nodiscard]] std::uint32_t list_min(const BucketList& list) const;
+  [[nodiscard]] std::uint32_t scan_min() const;
 
   [[nodiscard]] BucketList& bucket_list(std::uint16_t bucket) {
     return bucket == kOverflowBucket
@@ -124,6 +132,9 @@ class TimerWheel {
   std::uint64_t cursor_{0};
   std::size_t count_{0};
   std::size_t overflow_count_{0};
+  /// Cached peek_min() result; valid only while min_known_.
+  std::uint32_t min_{kNil};
+  bool min_known_{true};
 };
 
 }  // namespace wav::sim

@@ -160,7 +160,8 @@ TcpConnection::TcpConnection(TcpLayer& layer, net::Endpoint local, net::Endpoint
       rto_(config.initial_rto),
       rto_timer_(layer.sim(), [this] { on_rto(); },
                  WAV_PROF_CATEGORY("tcp", "rto_timer")),
-      time_wait_timer_(layer.sim(), [this] { become_closed(CloseReason::kNormal); }) {
+      time_wait_timer_(layer.sim(), [this] { become_closed(CloseReason::kNormal); },
+                       WAV_PROF_CATEGORY("tcp", "time_wait")) {
   cwnd_ = static_cast<std::uint64_t>(config_.mss) * config_.initial_cwnd_segments;
   ssthresh_ = UINT64_MAX;
   obs::MetricsRegistry& reg = layer_.sim().metrics();

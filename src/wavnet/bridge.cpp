@@ -55,8 +55,15 @@ void SoftwareBridge::inject(BridgePort* from, const net::EthernetFrame& frame) {
   // Forwarding is decoupled from the caller's stack via the event queue:
   // two stacks on one bridge would otherwise recurse synchronously
   // (segment -> ACK -> segment -> ...) without bound.
+  // Capture a non-const copy: a const member would make the closure
+  // copy (not move) the frame on every relocation, and throwing copies
+  // keep it out of EventCallback's inline buffer.
+  auto forward = [this, from, frame = net::EthernetFrame(frame)] {
+    forward_now(from, frame);
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(forward)>);
   sim_.schedule_after(latency_, WAV_PROF_CATEGORY("bridge", "forward_event"),
-                      [this, from, frame] { forward_now(from, frame); });
+                      std::move(forward));
 }
 
 void SoftwareBridge::forward_now(BridgePort* from, const net::EthernetFrame& frame) {

@@ -26,10 +26,12 @@ void BridgeCable::transmit(bool toward_b, const net::EthernetFrame& frame) {
   stats_.bytes += size;
 
   Port& out = toward_b ? port_b_ : port_a_;
-  sim_.schedule_at(busy + config_.delay, [&out, frame] {
+  auto deliver = [&out, frame = net::EthernetFrame(frame)] {
     // Inject into the far bridge as traffic entering through this port.
     if (out.bridge() != nullptr) out.bridge()->inject(&out, frame);
-  });
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(deliver)>);
+  sim_.schedule_at(busy + config_.delay, std::move(deliver));
 }
 
 }  // namespace wav::wavnet

@@ -24,10 +24,13 @@ class ProcessingQueue {
 
   /// Schedules `done` after the job's service time, honoring FIFO
   /// occupancy. Returns false (dropping the job) when the backlog bound
-  /// is exceeded. Any void() callable; forwarded straight into the event
-  /// slab so the per-frame path stays allocation-free.
+  /// is exceeded. Any void() callable that fits EventCallback's inline
+  /// buffer (checked at compile time): it is constructed straight into
+  /// the event slab, so a queued job costs no allocation.
   template <class F>
   bool submit(std::uint64_t bytes, F&& done) {
+    static_assert(sim::EventCallback::fits_inline<F>,
+                  "completion capture must fit EventCallback's inline buffer");
     const TimePoint now = sim_.now();
     if (busy_until_ < now) busy_until_ = now;
     if (busy_until_ - now > config_.max_backlog) {

@@ -61,6 +61,23 @@ TEST(Framing, RoundTripRealAndVirtual) {
   EXPECT_EQ(got[1].second, 100000u);
 }
 
+TEST(Framing, VirtualPayloadArrivingPerSegmentIsOneChunk) {
+  // A bulk virtual message reaches the framer one MSS at a time; the
+  // payload keeps one descriptor for the whole run, not one per segment.
+  std::vector<std::vector<net::Chunk>> got;
+  net::MessageFramer framer{[&](const net::FrameHeader&, std::vector<net::Chunk> p) {
+    got.push_back(std::move(p));
+  }};
+  net::ChunkQueue q;
+  for (auto& c : net::frame_message({3, 0, 0}, net::Chunk::virtual_bytes(1'000'000))) {
+    q.push(std::move(c));
+  }
+  while (q.size() > 0) framer.push(q.pop_up_to(1460));
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(got[0].size(), 1u);
+  EXPECT_EQ(got[0][0].virtual_size, 1'000'000u);
+}
+
 TEST(Ping, MeasuresRttAndLoss) {
   fabric::LinkConfig cfg;
   cfg.delay = milliseconds(25);

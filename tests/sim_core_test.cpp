@@ -8,6 +8,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/delay_line.hpp"
 #include "sim/simulation.hpp"
 
 namespace wav {
@@ -431,6 +432,125 @@ TEST(Simulation, HeapRemoveRootAndLastEdgeCases) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 6, 7}));
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulation, EventCoreMatchesReferenceOrder) {
+  // Property test over every event store: a seeded mix of schedule_at,
+  // schedule_after, cancel and delay-line pushes, with many equal
+  // timestamps, run in phases. The fired order must equal a reference
+  // sort of the uncancelled events by (time, scheduling order), and
+  // pending_events() must be exact after every step and inside every
+  // callback — with the timer wheel on and off.
+  enum class State { kPending, kFired, kCancelled };
+  struct Item {
+    TimePoint at;
+    State state{State::kPending};
+    sim::EventId id{};  // invalid for delay-line entries
+  };
+  for (const bool wheel : {true, false}) {
+    for (std::uint64_t round = 0; round < 12; ++round) {
+      Rng rng{0x5EED0000u + round};
+      sim::Simulation sim;
+      sim.set_use_timer_wheel(wheel);
+      std::vector<Item> items;
+      std::vector<std::size_t> fired;
+      std::size_t live = 0;
+      const auto on_fire = [&](std::size_t tag) {
+        ASSERT_EQ(items[tag].state, State::kPending);
+        EXPECT_EQ(sim.now(), items[tag].at);
+        items[tag].state = State::kFired;
+        fired.push_back(tag);
+        --live;
+        EXPECT_EQ(sim.pending_events(), live);
+      };
+      sim::DelayLines<std::size_t> lines{sim, [&](std::size_t&& tag) { on_fire(tag); }};
+      std::array<sim::DelayLines<std::size_t>::Line, 3> line;
+      std::array<TimePoint, 3> line_last{};
+
+      // Coarse grids make equal deadlines common; the larger scales reach
+      // the upper wheel levels.
+      const auto draw_delay = [&rng]() -> Duration {
+        const auto k = static_cast<std::int64_t>(rng.uniform_u64(0, 6));
+        switch (rng.uniform_u64(0, 3)) {
+          case 0: return kZeroDuration;
+          case 1: return microseconds(5 * k);
+          case 2: return milliseconds(k);
+          default: return seconds(40 * k);
+        }
+      };
+
+      for (int phase = 0; phase < 6; ++phase) {
+        for (int op = 0; op < 80; ++op) {
+          const double r = rng.uniform();
+          const std::size_t tag = items.size();
+          if (r < 0.3) {
+            const TimePoint at = sim.now() + draw_delay();
+            items.push_back(Item{at});
+            items[tag].id = sim.schedule_at(at, [&on_fire, tag] { on_fire(tag); });
+            ++live;
+          } else if (r < 0.6) {
+            const Duration d = draw_delay();
+            items.push_back(Item{sim.now() + d});
+            items[tag].id = sim.schedule_after(d, [&on_fire, tag] { on_fire(tag); });
+            ++live;
+          } else if (r < 0.8) {
+            const auto j = static_cast<std::size_t>(rng.uniform_u64(0, line.size() - 1));
+            const TimePoint at = std::max(sim.now() + draw_delay(), line_last[j]);
+            line_last[j] = at;
+            items.push_back(Item{at});
+            lines.push(line[j], at, obs::kProfCategoryNone, std::size_t{tag});
+            ++live;
+          } else if (!items.empty()) {
+            Item& victim = items[rng.uniform_u64(0, items.size() - 1)];
+            const bool cancellable = victim.id.valid() && victim.state == State::kPending;
+            EXPECT_EQ(sim.cancel(victim.id), cancellable);
+            if (cancellable) {
+              victim.state = State::kCancelled;
+              --live;
+            }
+          }
+          ASSERT_EQ(sim.pending_events(), live) << "phase " << phase << " op " << op;
+        }
+        sim.run_until(sim.now() + draw_delay());
+        ASSERT_EQ(sim.pending_events(), live);
+      }
+      sim.run();
+      EXPECT_EQ(sim.pending_events(), 0u);
+
+      std::vector<std::size_t> expect;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (items[i].state != State::kCancelled) expect.push_back(i);
+      }
+      std::stable_sort(expect.begin(), expect.end(), [&](std::size_t a, std::size_t b) {
+        return items[a].at < items[b].at;
+      });
+      EXPECT_EQ(fired, expect) << "wheel " << wheel << " round " << round;
+      EXPECT_EQ(sim.events_executed(), fired.size());
+    }
+  }
+}
+
+TEST(Simulation, DelayLinesDestructionDropsQueuedEntries) {
+  // Destroying the lines cancels each head event and releases the
+  // entries queued behind it: nothing fires and the count returns to 0.
+  sim::Simulation sim;
+  int fired = 0;
+  {
+    sim::DelayLines<int> lines{sim, [&fired](int&&) { ++fired; }};
+    sim::DelayLines<int>::Line a;
+    sim::DelayLines<int>::Line b;
+    for (int i = 0; i < 3; ++i) {
+      lines.push(a, sim.now() + milliseconds(1 + i), obs::kProfCategoryNone, int{i});
+    }
+    lines.push(b, sim.now() + milliseconds(5), obs::kProfCategoryNone, 7);
+    EXPECT_EQ(sim.pending_events(), 4u);
+    sim.run_until(sim.now() + milliseconds(1));
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.pending_events(), 3u);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(ThreadPool, RunsTasksAndParallelFor) {
