@@ -215,13 +215,18 @@ TierResult run_tier(std::size_t n_hosts, std::uint64_t seed, int tier_index) {
   return result;
 }
 
-std::vector<std::size_t> parse_tiers(int argc, char** argv) {
-  std::string spec = "1000,5000,10000";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tiers" && i + 1 < argc) spec = argv[i + 1];
-    if (arg.rfind("--tiers=", 0) == 0) spec = arg.substr(8);
-  }
+constexpr char kUsage[] =
+    "usage: bench_churn_scale [--tiers N[,N...]] [--seed S] [observability flags]\n"
+    "  --tiers  fleet sizes to run, comma-separated (default 1000,5000,10000)\n"
+    "  --seed   simulation seed (default 2026)\n"
+    "  plus --metrics-out, --series-out, --trace-out, ... (bench/harness.hpp)\n";
+
+struct Args {
+  std::uint64_t seed{2026};
+  std::vector<std::size_t> tiers{1000, 5000, 10000};
+};
+
+std::vector<std::size_t> parse_tiers(const std::string& spec) {
   std::vector<std::size_t> tiers;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -234,21 +239,42 @@ std::vector<std::size_t> parse_tiers(int argc, char** argv) {
   return tiers;
 }
 
-std::uint64_t parse_seed(int argc, char** argv) {
+/// Every flag takes a value, as "--flag value" or "--flag=value".
+/// --help prints the usage and exits 0; an unknown flag or a missing
+/// value exits 2 before any tier runs.
+Args parse_args(int argc, char** argv) {
+  Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) return std::strtoull(argv[i + 1], nullptr, 10);
-    if (arg.rfind("--seed=", 0) == 0) return std::strtoull(arg.c_str() + 7, nullptr, 10);
+    if (arg == "--help") {
+      std::fputs(kUsage, stdout);
+      std::exit(0);
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const bool known = name == "--tiers" || name == "--seed" || benchx::is_obs_flag(name);
+    const char* value = nullptr;
+    if (eq != std::string::npos) {
+      value = argv[i] + eq + 1;
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (!known || value == nullptr) {
+      std::fprintf(stderr, "bench_churn_scale: %s '%s'\n%s",
+                   known ? "missing value for" : "unknown argument", arg.c_str(), kUsage);
+      std::exit(2);
+    }
+    if (name == "--tiers") args.tiers = parse_tiers(value);
+    if (name == "--seed") args.seed = std::strtoull(value, nullptr, 10);
   }
-  return 2026;
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto [seed, tiers] = parse_args(argc, argv);
   benchx::obs_init(argc, argv);
-  const std::uint64_t seed = parse_seed(argc, argv);
-  const std::vector<std::size_t> tiers = parse_tiers(argc, argv);
   benchx::banner(
       "Churn at scale — sharded rendezvous under continuous membership churn",
       "4-shard fleet + per-shard relay; Trautwein NAT mix; shard rv1 killed at "

@@ -91,6 +91,13 @@ void obs_init(int argc, char** argv) {
   }
 }
 
+bool is_obs_flag(std::string_view name) noexcept {
+  for (const FlagDef& def : kObsFlags) {
+    if (name == def.flag) return true;
+  }
+  return false;
+}
+
 const ObsOptions& obs_options() noexcept { return g_obs; }
 
 void append_metrics_line(sim::Simulation& sim, const std::string& label,

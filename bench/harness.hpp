@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "chaos/invariants.hpp"
 #include "fabric/wan.hpp"
@@ -85,6 +86,9 @@ struct ObsOptions {
 /// Parses the observability flags out of argv (unrecognised arguments are
 /// ignored) and installs the sinks for every World constructed afterwards.
 void obs_init(int argc, char** argv);
+/// True if `name` (e.g. "--metrics-out") is one of the flags obs_init()
+/// understands; benches that reject unknown flags let these through.
+[[nodiscard]] bool is_obs_flag(std::string_view name) noexcept;
 
 [[nodiscard]] const ObsOptions& obs_options() noexcept;
 

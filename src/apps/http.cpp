@@ -75,7 +75,6 @@ void HttpServer::handle_request(const tcp::TcpConnection::Ptr& conn,
       first_space == std::string::npos ? std::string::npos : line.find(' ', first_space + 1);
   if (first_space == std::string::npos || second_space == std::string::npos ||
       line.substr(0, first_space) != "GET") {
-    ++stats_.bad_requests;
     conn->send_bytes("HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n");
     conn->close();
     return;

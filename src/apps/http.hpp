@@ -40,7 +40,6 @@ class HttpServer {
   struct Stats {
     std::uint64_t requests_served{0};
     std::uint64_t not_found{0};
-    std::uint64_t bad_requests{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }

@@ -50,8 +50,6 @@ tcp::TcpConnection::Ptr& MpiCluster::connection(std::size_t from, std::size_t to
 
 void MpiCluster::send(std::size_t from, std::size_t to, std::uint32_t tag,
                       net::Chunk payload) {
-  ++stats_.messages_sent;
-  stats_.bytes_sent += payload.size();
   if (from == to) {
     // Local delivery still goes through the event queue for causality.
     std::vector<net::Chunk> chunks;

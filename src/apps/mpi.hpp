@@ -50,12 +50,6 @@ class MpiCluster {
   void allreduce_sum(const std::vector<double>& contributions,
                      std::function<void(double)> done);
 
-  struct Stats {
-    std::uint64_t messages_sent{0};
-    std::uint64_t bytes_sent{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   struct MatchKey {
     std::size_t from;
@@ -78,7 +72,6 @@ class MpiCluster {
   std::vector<Rank> ranks_;
   std::uint16_t port_;
   tcp::TcpConfig transport_;
-  Stats stats_;
 
   static constexpr std::uint32_t kBarrierTag = 0xFFFF0001;
   static constexpr std::uint32_t kReleaseTag = 0xFFFF0002;

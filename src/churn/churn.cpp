@@ -128,7 +128,6 @@ void ChurnEngine::arrive(std::size_t idx) {
   slot.was_registered = false;
   slot.lost_registration_at = kTimeInfinity;
   ++online_;
-  ++stats_.arrivals;
   c_arrivals_->inc();
   g_online_->set(static_cast<double>(online_));
   if (!slot.started) {
@@ -160,10 +159,8 @@ void ChurnEngine::depart(std::size_t idx) {
   slot.lost_registration_at = kTimeInfinity;
   --online_;
   if (crash) {
-    ++stats_.crashes;
     c_crashes_->inc();
   } else {
-    ++stats_.departures_graceful;
     c_departures_->inc();
   }
   g_online_->set(static_cast<double>(online_));
@@ -207,19 +204,26 @@ void ChurnEngine::issue_connects(std::size_t idx) {
       if (dialed >= plan_.connect_fanout) break;
       if (agent->link_established(peer.host_id)) continue;
       ++dialed;
-      ++stats_.connects_attempted;
       c_connects_attempted_->inc();
       agent->connect_to(peer, [this](bool ok, overlay::HostId) {
         if (ok) {
-          ++stats_.connects_ok;
           c_connects_ok_->inc();
         } else {
-          ++stats_.connects_failed;
           c_connects_failed_->inc();
         }
       });
     }
   });
+}
+
+ChurnEngine::Stats ChurnEngine::stats() const noexcept {
+  return {.arrivals = c_arrivals_->value(),
+          .departures_graceful = c_departures_->value(),
+          .crashes = c_crashes_->value(),
+          .rehomes = c_rehomes_->value(),
+          .connects_attempted = c_connects_attempted_->value(),
+          .connects_ok = c_connects_ok_->value(),
+          .connects_failed = c_connects_failed_->value()};
 }
 
 void ChurnEngine::tick() {
@@ -238,7 +242,6 @@ void ChurnEngine::tick() {
     const std::uint32_t failovers = slot.agent->rendezvous_failovers();
     if (failovers > slot.last_failovers) {
       const std::uint32_t delta = failovers - slot.last_failovers;
-      stats_.rehomes += delta;
       c_rehomes_->inc(delta);
       slot.last_failovers = failovers;
     }

@@ -127,7 +127,8 @@ class ChurnEngine {
     std::uint64_t connects_ok{0};
     std::uint64_t connects_failed{0};
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Snapshot of the engine's registry counters.
+  [[nodiscard]] Stats stats() const noexcept;
   [[nodiscard]] std::size_t online_count() const noexcept { return online_; }
   [[nodiscard]] std::size_t pool_size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool running() const noexcept { return running_; }
@@ -155,7 +156,6 @@ class ChurnEngine {
   std::vector<Slot> slots_;
   std::size_t online_{0};
   bool running_{false};
-  Stats stats_;
   sim::PeriodicTimer tick_timer_;
 
   obs::Counter* c_arrivals_{nullptr};

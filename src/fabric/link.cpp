@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <utility>
-#include <vector>
 
 #include "common/log.hpp"
 #include "fabric/node.hpp"
@@ -30,12 +28,6 @@ void note_flow_drop(sim::Simulation& sim, const net::IpPacket& pkt,
 
 Link::Link(sim::Simulation& sim, Node& a, Node& b, LinkConfig config)
     : sim_(sim), a_(&a), b_(&b), config_(config) {}
-
-Link::~Link() {
-  // Pending burst flushes capture `this`; they must not outlive the link.
-  if (toward_a_.flush_event.valid()) sim_.cancel(toward_a_.flush_event);
-  if (toward_b_.flush_event.valid()) sim_.cancel(toward_b_.flush_event);
-}
 
 Node& Link::peer(const Node& n) const {
   assert(has_endpoint(n));
@@ -99,59 +91,11 @@ void Link::transmit(const Node& from, net::IpPacket pkt) {
   ++stats_.delivered_packets;
   stats_.delivered_bytes += size;
 
-  if (config_.batch_window > kZeroDuration) {
-    enqueue_burst(dir, dest, arrival, std::move(pkt));
-    return;
-  }
   auto deliver = [this, &dest, pkt = std::move(pkt)]() mutable {
     dest.receive_from_link(std::move(pkt), *this);
   };
   static_assert(sim::EventCallback::fits_inline<decltype(deliver)>);
   sim_.schedule_at(arrival, WAV_PROF_CATEGORY("link", "deliver"), std::move(deliver));
-}
-
-void Link::enqueue_burst(DirectionState& dir, Node& dest, TimePoint arrival,
-                         net::IpPacket pkt) {
-  if (dir.burst.empty()) {
-    // One timer per burst, opened by the first packet: the flush fires a
-    // batch window after that packet's arrival and hands over every
-    // packet whose arrival falls inside the window.
-    dir.flush_event =
-        sim_.schedule_at(arrival + config_.batch_window,
-                         WAV_PROF_CATEGORY("link", "deliver_burst"),
-                         [this, &dir, &dest] { flush_burst(dir, dest); });
-  }
-  dir.burst.push_back(DirectionState::Pending{arrival, std::move(pkt)});
-}
-
-void Link::flush_burst(DirectionState& dir, Node& dest) {
-  dir.flush_event = sim::EventId{};
-  // Deliver the FIFO prefix that has arrived by now; later packets (the
-  // analytic queue can stretch arrivals well past the window) stay and
-  // re-open a burst anchored to the first of them. The prefix moves out
-  // before any receive runs, so receivers may transmit back into this
-  // link reentrantly.
-  const TimePoint now = sim_.now();
-  std::size_t ready = 0;
-  while (ready < dir.burst.size() && dir.burst[ready].arrival <= now) ++ready;
-  std::vector<DirectionState::Pending> prefix;
-  prefix.reserve(ready);
-  std::move(dir.burst.begin(), dir.burst.begin() + static_cast<std::ptrdiff_t>(ready),
-            std::back_inserter(prefix));
-  dir.burst.erase(dir.burst.begin(),
-                  dir.burst.begin() + static_cast<std::ptrdiff_t>(ready));
-  if (!dir.burst.empty()) {
-    dir.flush_event =
-        sim_.schedule_at(dir.burst.front().arrival + config_.batch_window,
-                         WAV_PROF_CATEGORY("link", "deliver_burst"),
-                         [this, &dir, &dest] { flush_burst(dir, dest); });
-  }
-  ++stats_.bursts_delivered;
-  stats_.max_burst_packets = std::max(stats_.max_burst_packets,
-                                      static_cast<std::uint64_t>(prefix.size()));
-  for (DirectionState::Pending& p : prefix) {
-    dest.receive_from_link(std::move(p.pkt), *this);
-  }
 }
 
 }  // namespace wav::fabric

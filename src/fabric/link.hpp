@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
 #include "net/packet.hpp"
@@ -24,14 +23,6 @@ struct LinkConfig {
   Duration max_backlog{milliseconds(100)};  // drop-tail bound on queueing delay
   double loss_probability{0.0};        // independent per-packet wire loss
   Duration jitter_stddev{kZeroDuration};    // Gaussian delay jitter (>= 0 clamp)
-  /// Burst delivery: packets arriving within this window of the burst's
-  /// first arrival are handed to the receiver together from one scheduled
-  /// event (one timer, N packets) instead of one event each. Zero (the
-  /// default) keeps per-packet delivery and byte-identical behavior; a
-  /// ~packet-serialization-sized window collapses the per-packet event
-  /// storm of a saturated 10k-host fabric. Adds at most `batch_window` to
-  /// a packet's delivery time; never reorders (FIFO prefix flush).
-  Duration batch_window{kZeroDuration};
 };
 
 struct LinkStats {
@@ -40,8 +31,6 @@ struct LinkStats {
   std::uint64_t dropped_queue{0};
   std::uint64_t dropped_loss{0};
   std::uint64_t dropped_down{0};  // transmit attempts while administratively down
-  std::uint64_t bursts_delivered{0};  // flush events (batching only)
-  std::uint64_t max_burst_packets{0};
 };
 
 class Link {
@@ -77,25 +66,11 @@ class Link {
 
   [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
 
-  ~Link();
-
  private:
   struct DirectionState {
     TimePoint busy_until{};
     TimePoint last_arrival{};  // FIFO clamp: jitter must not reorder a flow
-    /// Packets waiting for the burst flush, in arrival order (the FIFO
-    /// clamp keeps arrivals monotonic, so append order is arrival order).
-    struct Pending {
-      TimePoint arrival{};
-      net::IpPacket pkt;
-    };
-    std::vector<Pending> burst;
-    sim::EventId flush_event{};
   };
-
-  void enqueue_burst(DirectionState& dir, Node& dest, TimePoint arrival,
-                     net::IpPacket pkt);
-  void flush_burst(DirectionState& dir, Node& dest);
 
   sim::Simulation& sim_;
   Node* a_;

@@ -89,7 +89,6 @@ void IpopHost::deliver(const net::EthernetFrame& frame) {
   if (ip == nullptr) return;
   const auto target = bindings_.lookup(ip->dst);
   if (!target) {
-    ++stats_.packets_dropped_no_route;
     if (frame.flow.id != 0) {
       host_.fabric::Node::sim().flows().dropped(
           frame.flow, obs::HopComponent::kIpopRouter, config_.agent.name,
@@ -105,7 +104,6 @@ void IpopHost::route(const net::EthernetFrame& frame, OverlayId target,
                      std::uint8_t hops, bool originated) {
   (void)originated;
   if (hops >= kMaxHops) {
-    ++stats_.packets_dropped_no_route;
     if (frame.flow.id != 0) {
       host_.fabric::Node::sim().flows().dropped(
           frame.flow, obs::HopComponent::kIpopRouter, config_.agent.name,
@@ -139,7 +137,6 @@ void IpopHost::route(const net::EthernetFrame& frame, OverlayId target,
     }
     const overlay::HostId next = next_hop_toward(target);
     if (next == 0) {
-      ++stats_.packets_dropped_no_route;
       if (shared->flow.id != 0) {
         host_.fabric::Node::sim().flows().dropped(
             shared->flow, obs::HopComponent::kIpopRouter, config_.agent.name,
@@ -147,7 +144,6 @@ void IpopHost::route(const net::EthernetFrame& frame, OverlayId target,
       }
       return;
     }
-    if (hops > 0) ++stats_.packets_forwarded;
     net::EncapFrame encap;
     encap.header_bytes = config_.p2p_header_bytes;
     encap.overlay_src = id_;
@@ -157,7 +153,6 @@ void IpopHost::route(const net::EthernetFrame& frame, OverlayId target,
     agent_.send_frame(next, std::move(encap));
   });
   if (!accepted) {
-    ++stats_.packets_dropped_backlog;
     if (shared->flow.id != 0) {
       host_.fabric::Node::sim().flows().dropped(
           shared->flow, obs::HopComponent::kIpopRouter, config_.agent.name,

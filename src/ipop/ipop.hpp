@@ -84,10 +84,7 @@ class IpopHost : public wavnet::BridgePort {
 
   struct Stats {
     std::uint64_t packets_originated{0};
-    std::uint64_t packets_forwarded{0};   // transit through this node
     std::uint64_t packets_delivered{0};
-    std::uint64_t packets_dropped_no_route{0};
-    std::uint64_t packets_dropped_backlog{0};
     std::uint64_t total_hops_delivered{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -263,6 +263,20 @@ void HostAgent::query(const std::vector<double>& target, std::size_t k,
   socket_.send_to(active_rendezvous_, encode(msg));
 }
 
+HostAgent::Stats HostAgent::stats() const noexcept {
+  return {.punches_sent = c_punches_sent_->value(),
+          .pulses_sent = c_pulses_sent_->value(),
+          .frames_received = c_frames_received_->value(),
+          .links_lost = c_links_lost_->value(),
+          .queries_timed_out = c_queries_timed_out_->value(),
+          .reregistrations = c_reregistrations_->value(),
+          .connects_failed = c_connects_failed_->value(),
+          .peers_forgotten = c_peers_forgotten_->value(),
+          .relay_fallbacks = c_relay_fallbacks_->value(),
+          .relay_failovers = c_relay_failovers_->value(),
+          .relay_upgrades = c_relay_upgrades_->value()};
+}
+
 std::size_t HostAgent::stale_query_count(Duration age) const {
   const TimePoint now = ip_.sim().now();
   std::size_t n = 0;
@@ -280,7 +294,6 @@ void HostAgent::expire_query(std::uint64_t query_id) {
     // Resend under the same id with a linearly stretched deadline — the
     // reply datagram may simply have been lost.
     ++pending.attempts;
-    ++stats_.query_retries_sent;
     QueryMsg msg;
     msg.query_id = query_id;
     msg.target = pending.target;
@@ -293,7 +306,6 @@ void HostAgent::expire_query(std::uint64_t query_id) {
   }
   auto handler = std::move(pending.handler);
   pending_queries_.erase(it);
-  ++stats_.queries_timed_out;
   c_queries_timed_out_->inc();
   ip_.sim().tracer().instant(obs::Category::kOverlay, "query.timeout", self_.name,
                              "\"query_id\":" + std::to_string(query_id));
@@ -410,7 +422,6 @@ void HostAgent::punch_round(HostId peer) {
     return;
   }
   for (const auto& candidate : link.candidates) {
-    ++stats_.punches_sent;
     c_punches_sent_->inc();
     socket_.send_to(candidate, encode(PunchMsg{self_.host_id, link.nonce}));
   }
@@ -425,7 +436,6 @@ void HostAgent::fail_link(HostId peer, const std::string& reason) {
   const HostInfo info = link.info;
   if (link.request_id != 0) request_to_peer_.erase(link.request_id);
   links_.erase(it);
-  ++stats_.connects_failed;
   c_connects_failed_->inc();
   if (reason == "timeout") {
     c_failed_timeout_->inc();
@@ -450,7 +460,6 @@ void HostAgent::fail_link(HostId peer, const std::string& reason) {
       ++repunch_failures_[peer] >= config_.repunch_give_up) {
     repunch_failures_.erase(peer);
     repunch_backoff_.erase(peer);
-    ++stats_.peers_forgotten;
     c_peers_forgotten_->inc();
     ip_.sim().tracer().instant(obs::Category::kOverlay, "peer.forgotten", self_.name,
                                "\"peer\":" + std::to_string(peer));
@@ -477,7 +486,6 @@ void HostAgent::establish(Link& link, const net::Endpoint& proven) {
     link.relay_bound = false;
     ++link.alloc_epoch;
   }
-  ++stats_.links_established;
   c_links_established_->inc();
   c_traversal_direct_->inc();
   g_links_active_->add(1);
@@ -505,7 +513,6 @@ bool HostAgent::send_frame(HostId peer, net::EncapFrame frame) {
   const auto it = links_.find(peer);
   if (it == links_.end() || !it->second.established) return false;
   Link& link = it->second;
-  ++stats_.frames_sent;
   c_frames_sent_->inc();
   if (frame.frame && frame.frame->flow.id != 0) {
     ip_.sim().flows().forwarded(frame.frame->flow, obs::HopComponent::kTunnelSend,
@@ -543,7 +550,6 @@ void HostAgent::begin_relay(Link& link, const char* reason) {
       static_cast<std::size_t>((self_.host_id + link.peer) % relays_.size());
   link.relay_started = ip_.sim().now();
   if (link.punch_timer) link.punch_timer->stop();
-  ++stats_.relay_fallbacks;
   c_relay_fallbacks_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "relay.fallback", self_.name,
                              "\"peer\":" + std::to_string(link.peer) +
@@ -632,7 +638,6 @@ void HostAgent::establish_relayed(Link& link) {
   repunch_backoff_.erase(link.peer);
   repunch_failures_.erase(link.peer);
   if (link.request_id != 0) request_to_peer_.erase(link.request_id);
-  ++stats_.links_established;
   c_links_established_->inc();
   c_traversal_relayed_->inc();
   g_links_active_->add(1);
@@ -663,7 +668,6 @@ void HostAgent::establish_relayed(Link& link) {
 }
 
 void HostAgent::relay_failover(Link& link) {
-  ++stats_.relay_failovers;
   c_relay_failovers_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "relay.failover", self_.name,
                              "\"peer\":" + std::to_string(link.peer) +
@@ -772,7 +776,6 @@ void HostAgent::complete_upgrade(Link& link) {
   endpoint_to_peer_[link.remote] = link.peer;
   link.last_rx = ip_.sim().now();
   g_links_relayed_->add(-1);
-  ++stats_.relay_upgrades;
   c_relay_upgrades_->inc();
   ip_.sim().tracer().instant(obs::Category::kRelay, "traversal.upgrade",
                              self_.name,
@@ -892,7 +895,6 @@ void HostAgent::drop_link(HostId peer) {
   const bool was_established = link.established;
   links_.erase(it);
   if (was_established) {
-    ++stats_.links_lost;
     c_links_lost_->inc();
     g_links_active_->add(-1);
     ip_.sim().tracer().instant(obs::Category::kOverlay, "link.down", self_.name,
@@ -919,7 +921,6 @@ void HostAgent::pulse_links() {
   WAV_PROF_SCOPE("overlay", "pulse_links");
   for (auto& [peer, link] : links_) {
     if (!link.established) continue;
-    ++stats_.pulses_sent;
     c_pulses_sent_->inc();
     if (link.kind == LinkKind::kRelayed) {
       // The 2-byte pulse can't ride a relay (the channel needs the pair
@@ -997,7 +998,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
       }
       if (link != nullptr) {
         link->last_rx = ip_.sim().now();
-        ++stats_.frames_received;
         c_frames_received_->inc();
         if (encap->frame && encap->frame->flow.id != 0) {
           ip_.sim().flows().forwarded(encap->frame->flow,
@@ -1017,7 +1017,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
     case MsgType::kPunch: {
       const auto msg = parse_punch(*dgram.chunk());
       if (!msg) return;
-      ++stats_.punch_acks_sent;
       c_punch_acks_sent_->inc();
       socket_.send_to(from, encode(PunchAckMsg{self_.host_id, msg->nonce}));
       // Traffic from the peer proves the path; adopt it.
@@ -1072,7 +1071,6 @@ void HostAgent::on_datagram(const net::Endpoint& from, const net::UdpDatagram& d
         // connect brokering work again.
         if (registered_) {
           registered_ = false;
-          ++stats_.reregistrations;
           c_reregistrations_->inc();
           ip_.sim().tracer().instant(obs::Category::kOverlay, "agent.reregister",
                                      self_.name);

@@ -197,14 +197,10 @@ class HostAgent {
 
   struct Stats {
     std::uint64_t punches_sent{0};
-    std::uint64_t punch_acks_sent{0};
     std::uint64_t pulses_sent{0};
-    std::uint64_t frames_sent{0};
     std::uint64_t frames_received{0};
-    std::uint64_t links_established{0};
     std::uint64_t links_lost{0};
     std::uint64_t queries_timed_out{0};
-    std::uint64_t query_retries_sent{0};
     std::uint64_t reregistrations{0};  // server lost our record; registered anew
     std::uint64_t connects_failed{0};  // every traversal rung exhausted
     std::uint64_t peers_forgotten{0};  // per-peer state pruned after give-up
@@ -212,7 +208,11 @@ class HostAgent {
     std::uint64_t relay_failovers{0};  // live relayed link moved to a new relay
     std::uint64_t relay_upgrades{0};   // relayed link switched to direct
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Snapshot of the agent's registry counters. Agents sharing a
+  /// Config::metrics_instance share those counters, so under a shared
+  /// instance (the churn and private-group fleets use "fleet") these are
+  /// the whole fleet's counts, not this agent's.
+  [[nodiscard]] Stats stats() const noexcept;
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// The raw socket (tests use it to inspect the local port).
@@ -372,7 +372,6 @@ class HostAgent {
   LinkHandler on_link_up_group_;
   LinkHandler on_link_down_group_;
   GroupCtrlHandler on_group_ctrl_;
-  Stats stats_;
 
   // Cached registry handles (resolved once in the constructor; the frame
   // and pulse paths only pay a pointer dereference).

@@ -98,6 +98,14 @@ void RendezvousServer::shard_ping_tick() {
   sync_shard_gauge();
 }
 
+RendezvousServer::Stats RendezvousServer::stats() const noexcept {
+  return {.registrations = c_registrations_->value(),
+          .heartbeats = c_heartbeats_->value(),
+          .queries = c_queries_->value(),
+          .connects_brokered = c_connects_brokered_->value(),
+          .connects_failed = c_connects_failed_->value()};
+}
+
 void RendezvousServer::sync_shard_gauge() {
   g_shards_alive_->set(static_cast<double>(alive_shards()));
 }
@@ -191,7 +199,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
     }
     case MsgType::kHeartbeat: {
       if (const auto msg = parse_heartbeat(*chunk)) {
-        ++stats_.heartbeats;
         c_heartbeats_->inc();
         // Every heartbeat is acked: the ack is the host's liveness signal
         // for this shard. A nack (unknown host: our tables were wiped by a
@@ -241,7 +248,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
         if (it != pending_connects_.end()) {
           host_socket_.send_to(it->second.requester_observed, encode(*msg));
           pending_connects_.erase(it);
-          ++stats_.connects_brokered;
           c_connects_brokered_->inc();
         }
       }
@@ -253,7 +259,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
         if (it != pending_connects_.end()) {
           host_socket_.send_to(it->second.requester_observed, encode(*msg));
           pending_connects_.erase(it);
-          ++stats_.connects_failed;
           c_connects_failed_->inc();
         }
       }
@@ -300,7 +305,6 @@ void RendezvousServer::on_host_datagram(const net::Endpoint& from,
 
 void RendezvousServer::handle_register(const net::Endpoint& from, const RegisterMsg& msg) {
   WAV_PROF_SCOPE("rendezvous", "register");
-  ++stats_.registrations;
   c_registrations_->inc();
   ip_.sim().tracer().instant(obs::Category::kOverlay, "rendezvous.register",
                              ip_.ip_address().to_string(),
@@ -343,7 +347,6 @@ void RendezvousServer::handle_register(const net::Endpoint& from, const Register
 
 void RendezvousServer::handle_query(const net::Endpoint& from, const QueryMsg& msg) {
   WAV_PROF_SCOPE("rendezvous", "query");
-  ++stats_.queries;
   c_queries_->inc();
   const can::Point target = attrs_to_point(msg.target);
   const std::uint64_t query_id = msg.query_id;
@@ -407,7 +410,6 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
   };
 
   if (it == hosts_.end()) {
-    ++stats_.connects_failed;
     c_connects_failed_->inc();
     reply_to(encode(ConnectFailMsg{msg.request_id, "unknown host"}));
     return;
@@ -423,7 +425,6 @@ void RendezvousServer::handle_rv_forward(const net::Endpoint& from,
   ConnectNotifyMsg to_requester;
   to_requester.request_id = msg.request_id;
   to_requester.peer = it->second.info;
-  ++stats_.connects_brokered;
   c_connects_brokered_->inc();
   reply_to(encode(to_requester));
 }
@@ -472,7 +473,6 @@ void RendezvousServer::expire_stale_hosts() {
   // shows up in stats instead of vanishing in a silent GC.
   for (auto it = pending_connects_.begin(); it != pending_connects_.end();) {
     if (now - it->second.created > config_.connect_timeout) {
-      ++stats_.connects_failed;
       c_connects_failed_->inc();
       host_socket_.send_to(it->second.requester_observed,
                            encode(ConnectFailMsg{it->first, "timeout"}));

@@ -106,7 +106,8 @@ class RendezvousServer {
     std::uint64_t connects_brokered{0};
     std::uint64_t connects_failed{0};
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Snapshot of this server's registry counters.
+  [[nodiscard]] Stats stats() const noexcept;
 
  private:
   struct Registered {
@@ -162,7 +163,6 @@ class RendezvousServer {
   sim::PeriodicTimer shard_ping_timer_;
   ShardPayloadProvider shard_payload_provider_;
   ShardPayloadHandler shard_payload_handler_;
-  Stats stats_;
   bool down_{false};
 
   obs::Counter* c_registrations_{nullptr};

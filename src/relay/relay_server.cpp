@@ -55,6 +55,17 @@ void RelayServer::init() {
   idle_timer_.start();
 }
 
+RelayServer::Stats RelayServer::stats() const noexcept {
+  return {.allocations = c_allocations_->value(),
+          .refreshes = c_refreshes_->value(),
+          .alloc_failures = c_alloc_failures_->value(),
+          .frames_relayed = c_frames_relayed_->value(),
+          .bytes_relayed = c_bytes_relayed_->value(),
+          .frames_dropped_no_credit = c_dropped_no_credit_->value(),
+          .frames_dropped_unbound = c_dropped_unbound_->value(),
+          .channels_expired = c_channels_expired_->value()};
+}
+
 void RelayServer::sync_channel_gauge() {
   g_active_channels_->set(static_cast<double>(channels_.size()));
 }
@@ -139,7 +150,6 @@ void RelayServer::handle_allocate(const net::Endpoint& from,
   auto it = channels_.find(key);
   if (it == channels_.end()) {
     if (channels_.size() >= config_.max_channels) {
-      ++stats_.alloc_failures;
       c_alloc_failures_->inc();
       socket_.send_to(from,
                       encode(RelayAllocateAckMsg{msg.to_host, false, false, "capacity"}));
@@ -148,7 +158,6 @@ void RelayServer::handle_allocate(const net::Endpoint& from,
     Channel ch;
     ch.credit = config_.credit_bytes_per_interval;
     it = channels_.emplace(key, std::move(ch)).first;
-    ++stats_.allocations;
     c_allocations_->inc();
     sync_channel_gauge();
     ip_.sim().tracer().instant(obs::Category::kRelay, "relay.allocate",
@@ -156,7 +165,6 @@ void RelayServer::handle_allocate(const net::Endpoint& from,
                                "\"pair\":\"" + std::to_string(key.first) + "-" +
                                    std::to_string(key.second) + "\"");
   } else {
-    ++stats_.refreshes;
     c_refreshes_->inc();
   }
   Channel& ch = it->second;
@@ -200,7 +208,6 @@ void RelayServer::forward_encap(const net::EncapFrame& encap) {
       encap.frame && encap.frame->flow.id != 0 ? &encap.frame->flow : nullptr;
   const auto it = channels_.find(key_of(encap.overlay_src, encap.overlay_dst));
   if (it == channels_.end()) {
-    ++stats_.frames_dropped_unbound;
     c_dropped_unbound_->inc();
     if (flow != nullptr) {
       ip_.sim().flows().dropped(*flow, obs::HopComponent::kRelay,
@@ -214,7 +221,6 @@ void RelayServer::forward_encap(const net::EncapFrame& encap) {
   Side& dst = side_of(ch, encap.overlay_dst, encap.overlay_src);
   if (src.bound) src.last_seen = ip_.sim().now();
   if (!src.bound || !side_alive(dst)) {
-    ++stats_.frames_dropped_unbound;
     c_dropped_unbound_->inc();
     if (flow != nullptr) {
       ip_.sim().flows().dropped(*flow, obs::HopComponent::kRelay,
@@ -225,7 +231,6 @@ void RelayServer::forward_encap(const net::EncapFrame& encap) {
   }
   const std::uint64_t size = encap.wire_size();
   if (ch.credit < size) {
-    ++stats_.frames_dropped_no_credit;
     c_dropped_no_credit_->inc();
     if (flow != nullptr) {
       ip_.sim().flows().dropped(*flow, obs::HopComponent::kRelay,
@@ -236,8 +241,6 @@ void RelayServer::forward_encap(const net::EncapFrame& encap) {
   }
   ch.credit -= size;
   ch.last_active = ip_.sim().now();
-  ++stats_.frames_relayed;
-  stats_.bytes_relayed += size;
   c_frames_relayed_->inc();
   c_bytes_relayed_->inc(size);
   if (flow != nullptr) {
@@ -287,7 +290,6 @@ void RelayServer::expire_idle_channels() {
     shed_stale(ch.hi_side);
     if ((!ch.lo_side.bound && !ch.hi_side.bound) ||
         now - ch.last_active > config_.channel_idle_timeout) {
-      ++stats_.channels_expired;
       c_channels_expired_->inc();
       it = channels_.erase(it);
       erased = true;

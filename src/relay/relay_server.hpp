@@ -82,7 +82,8 @@ class RelayServer {
     std::uint64_t frames_dropped_unbound{0};
     std::uint64_t channels_expired{0};
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Snapshot of this relay's registry counters.
+  [[nodiscard]] Stats stats() const noexcept;
 
  private:
   struct Side {
@@ -134,7 +135,6 @@ class RelayServer {
   std::map<PairKey, Channel> channels_;
   sim::PeriodicTimer credit_timer_;
   sim::PeriodicTimer idle_timer_;
-  Stats stats_;
   bool down_{false};
 
   obs::Counter* c_allocations_{nullptr};

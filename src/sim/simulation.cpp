@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdlib>
 #include <utility>
 
@@ -173,12 +172,6 @@ bool Simulation::pop_and_run_next(TimePoint deadline) {
     // profiler on or off (determinism contract, obs/profiler.hpp).
     const obs::ProfEventScope prof(category);
     fn();
-  } else if (profiling_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    callback_wall_ns_.add(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
   } else {
     fn();
   }

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/flow.hpp"
 #include "obs/metrics.hpp"
@@ -149,16 +148,6 @@ class Simulation {
   /// Flow-level causal tracing (sampled flight recorder; obs/flow.hpp).
   [[nodiscard]] obs::FlowTracer& flows() noexcept { return *flows_; }
 
-  /// Wall-clock callback profiling (steady_clock around each event).
-  /// Off by default: the measurements are real-time, so they are kept out
-  /// of the metrics registry to preserve byte-identical exports; read
-  /// them via callback_wall_ns().
-  void set_profiling(bool on) noexcept { profiling_ = on; }
-  [[nodiscard]] bool profiling() const noexcept { return profiling_; }
-  [[nodiscard]] const OnlineStats& callback_wall_ns() const noexcept {
-    return callback_wall_ns_;
-  }
-
  private:
   template <class T>
   friend class DelayLines;
@@ -241,8 +230,6 @@ class Simulation {
   std::unique_ptr<obs::FlowTracer> flows_;
   obs::Counter* events_counter_{nullptr};
   obs::Gauge* queue_depth_gauge_{nullptr};
-  bool profiling_{false};
-  OnlineStats callback_wall_ns_;
 };
 
 /// RAII periodic timer. Starts firing `period` after start() and keeps

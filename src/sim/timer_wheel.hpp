@@ -1,6 +1,6 @@
 // Hashed hierarchical timer wheel (Varghese & Lauck) for the huge
 // rotating population of relative-delay events: keepalive pulses,
-// retransmit timeouts, punch retries, batch-flush windows.
+// retransmit timeouts, punch retries.
 //
 // The 4-ary event heap (simulation.hpp) is exact but pays O(log n) per
 // schedule/cancel/pop; at the 10k-host churn tier the heap is dominated

@@ -23,7 +23,6 @@ bool IcmpLayer::send_echo_request(net::Ipv4Address dst, std::uint16_t id, std::u
   msg.seq = seq;
   msg.payload = net::Chunk::virtual_bytes(payload_size);
 
-  ++stats_.requests_sent;
   net::IpPacket pkt;
   pkt.dst = dst;
   pkt.body = std::move(msg);
@@ -45,7 +44,6 @@ void IcmpLayer::handle_packet(const net::IpPacket& pkt) {
     return;
   }
   if (msg->type == net::IcmpMessage::kEchoReply) {
-    ++stats_.replies_received;
     if (const auto it = handlers_.find(msg->id); it != handlers_.end()) {
       it->second(pkt.src, *msg);
     }

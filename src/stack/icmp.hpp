@@ -34,9 +34,7 @@ class IcmpLayer {
                          std::uint64_t payload_size);
 
   struct Stats {
-    std::uint64_t requests_sent{0};
     std::uint64_t requests_answered{0};
-    std::uint64_t replies_received{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] sim::Simulation& sim() noexcept { return ip_.sim(); }

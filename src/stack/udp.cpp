@@ -23,8 +23,6 @@ void UdpLayer::handle_packet(const net::IpPacket& pkt) {
     return;
   }
   UdpSocket& sock = *it->second;
-  ++sock.stats_.datagrams_received;
-  sock.stats_.bytes_received += dgram->payload_size();
   if (sock.handler_) {
     sock.handler_(net::Endpoint{pkt.src, dgram->src_port}, *dgram);
   }
@@ -72,8 +70,6 @@ bool UdpSocket::send_encap(const net::Endpoint& dst, net::EncapFrame frame) {
 bool UdpSocket::send_datagram(const net::Endpoint& dst, net::UdpDatagram dgram) {
   dgram.src_port = port_;
   dgram.dst_port = dst.port;
-  ++stats_.datagrams_sent;
-  stats_.bytes_sent += dgram.payload_size();
 
   net::IpPacket pkt;
   pkt.dst = dst.ip;

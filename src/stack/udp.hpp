@@ -60,14 +60,6 @@ class UdpSocket {
     return net::Endpoint{layer_.ip_.ip_address(), port_};
   }
 
-  struct Stats {
-    std::uint64_t datagrams_sent{0};
-    std::uint64_t datagrams_received{0};
-    std::uint64_t bytes_sent{0};
-    std::uint64_t bytes_received{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   friend class UdpLayer;
 
@@ -76,7 +68,6 @@ class UdpSocket {
   UdpLayer& layer_;
   std::uint16_t port_;
   Handler handler_;
-  Stats stats_;
 };
 
 }  // namespace wav::stack

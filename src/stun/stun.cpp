@@ -94,12 +94,11 @@ void StunServer::serve(stack::UdpSocket& in_socket, bool on_alternate_ip,
   const auto req = parse_request(*chunk);
   if (!req) return;
 
-  ++stats_.requests;
-  if (req->change_ip) ++stats_.change_ip_requests;
-  if (req->change_port) ++stats_.change_port_requests;
-  primary_ip_.sim().metrics()
-      .counter("stun.requests", primary_ip_.ip_address().to_string())
-      .inc();
+  if (c_requests_ == nullptr) {
+    c_requests_ = &primary_ip_.sim().metrics().counter(
+        "stun.requests", primary_ip_.ip_address().to_string());
+  }
+  c_requests_->inc();
 
   BindingResponse resp;
   resp.transaction_id = req->transaction_id;
@@ -240,7 +239,10 @@ void StunClient::advance(bool got_response, const BindingResponse& resp) {
 void StunClient::finish(ProbeResult result) {
   phase_ = Phase::kDone;
   retry_timer_.cancel();
-  udp_.sim().metrics().counter("stun.probes_finished").inc();
+  if (c_probes_finished_ == nullptr) {
+    c_probes_finished_ = &udp_.sim().metrics().counter("stun.probes_finished");
+  }
+  c_probes_finished_->inc();
   udp_.sim().tracer().complete(
       obs::Category::kStun, "stun.probe", probe_started_,
       udp_.ip().ip_address().to_string(),

@@ -59,13 +59,6 @@ class StunServer {
     return {alternate_ip_.ip_address(), kStunPort};
   }
 
-  struct Stats {
-    std::uint64_t requests{0};
-    std::uint64_t change_ip_requests{0};
-    std::uint64_t change_port_requests{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   void serve(stack::UdpSocket& in_socket, bool on_alternate_ip,
              const net::Endpoint& from, const net::UdpDatagram& dgram);
@@ -79,7 +72,8 @@ class StunServer {
   stack::UdpSocket primary_alt_;     // primary IP, alternate port
   stack::UdpSocket alternate_main_;  // alternate IP, main port
   stack::UdpSocket alternate_alt_;   // alternate IP, alternate port
-  Stats stats_;
+  // Registered on the first request, so an idle server exports nothing.
+  obs::Counter* c_requests_{nullptr};
 };
 
 /// Result of the classification probe.
@@ -136,6 +130,7 @@ class StunClient {
   net::Endpoint mapped_primary_{};
   bool test2_passed_{false};
   TimePoint probe_started_{};
+  obs::Counter* c_probes_finished_{nullptr};  // registered on first finish
 };
 
 }  // namespace wav::stun

@@ -112,7 +112,6 @@ void SoftwareBridge::forward_now(BridgePort* from, const net::EthernetFrame& fra
 
 bool VirtualNic::transmit(const net::EthernetFrame& frame) {
   if (bridge() == nullptr || !enabled_) return false;
-  ++stats_.tx_frames;
   inject_to_bridge(frame);
   return true;
 }
@@ -121,12 +120,7 @@ void VirtualNic::deliver(const net::EthernetFrame& frame) {
   if (!enabled_) return;
   const bool for_me =
       promiscuous_ || frame.dst == mac_ || frame.dst.is_broadcast() || frame.dst.is_multicast();
-  if (!for_me) {
-    ++stats_.rx_filtered;
-    return;
-  }
-  ++stats_.rx_frames;
-  if (on_frame_) on_frame_(frame);
+  if (for_me && on_frame_) on_frame_(frame);
 }
 
 }  // namespace wav::wavnet

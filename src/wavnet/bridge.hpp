@@ -115,19 +115,11 @@ class VirtualNic : public BridgePort {
 
   void deliver(const net::EthernetFrame& frame) override;
 
-  struct Stats {
-    std::uint64_t tx_frames{0};
-    std::uint64_t rx_frames{0};
-    std::uint64_t rx_filtered{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   net::MacAddress mac_;
   bool promiscuous_{false};
   bool enabled_{true};
   FrameHandler on_frame_;
-  Stats stats_;
 };
 
 /// Deterministic locally-administered MAC from a small integer.

@@ -16,14 +16,8 @@ void BridgeCable::transmit(bool toward_b, const net::EthernetFrame& frame) {
   TimePoint& busy = toward_b ? busy_toward_b_ : busy_toward_a_;
   const TimePoint now = sim_.now();
   const TimePoint start = std::max(now, busy);
-  if (start - now > config_.max_backlog) {
-    ++stats_.dropped;
-    return;
-  }
-  const std::uint64_t size = frame.wire_size();
-  busy = start + config_.rate.transmit_time(size);
-  ++stats_.frames;
-  stats_.bytes += size;
+  if (start - now > config_.max_backlog) return;
+  busy = start + config_.rate.transmit_time(frame.wire_size());
 
   Port& out = toward_b ? port_b_ : port_a_;
   auto deliver = [&out, frame = net::EthernetFrame(frame)] {

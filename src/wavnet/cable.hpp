@@ -20,13 +20,6 @@ class BridgeCable {
   BridgeCable(sim::Simulation& sim, SoftwareBridge& a, SoftwareBridge& b, Config config);
   BridgeCable(sim::Simulation& sim, SoftwareBridge& a, SoftwareBridge& b);
 
-  struct Stats {
-    std::uint64_t frames{0};
-    std::uint64_t bytes{0};
-    std::uint64_t dropped{0};
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   class Port : public BridgePort {
    public:
@@ -48,7 +41,6 @@ class BridgeCable {
   Port port_b_;
   TimePoint busy_toward_a_{};
   TimePoint busy_toward_b_{};
-  Stats stats_;
 };
 
 }  // namespace wav::wavnet

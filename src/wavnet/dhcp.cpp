@@ -106,11 +106,9 @@ void DhcpServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram& 
       ++stats_.discovers;
       const auto address = allocate(msg->client_mac);
       if (!address) {
-        ++stats_.naks;
         reply({DhcpMessageType::kNak});
         return;
       }
-      ++stats_.offers;
       DhcpMessage offer{DhcpMessageType::kOffer};
       offer.your_ip = *address;
       reply(offer);
@@ -119,7 +117,6 @@ void DhcpServer::on_datagram(const net::Endpoint& from, const net::UdpDatagram& 
     case DhcpMessageType::kRequest: {
       const auto it = leases_.find(msg->client_mac);
       if (it == leases_.end() || it->second != msg->your_ip) {
-        ++stats_.naks;
         reply({DhcpMessageType::kNak});
         return;
       }

@@ -58,9 +58,7 @@ class DhcpServer {
 
   struct Stats {
     std::uint64_t discovers{0};
-    std::uint64_t offers{0};
     std::uint64_t acks{0};
-    std::uint64_t naks{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

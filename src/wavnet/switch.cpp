@@ -1,6 +1,5 @@
 #include "wavnet/switch.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -31,18 +30,6 @@ WavSwitch::WavSwitch(overlay::HostAgent& agent, Config config)
   c_frames_dropped_backlog_ = &reg.counter("switch.frames_dropped_backlog", inst);
   c_bytes_tunneled_ = &reg.counter("switch.bytes_tunneled", inst);
   c_bytes_received_ = &reg.counter("switch.bytes_received", inst);
-  if (config_.batch_window > kZeroDuration) {
-    h_batch_size_ = &reg.histogram("switch.batch_size",
-                                   {1, 2, 4, 8, 16, 32, 64, 128}, inst);
-    c_batches_flushed_ = &reg.counter("switch.batches_flushed", inst);
-  }
-}
-
-WavSwitch::~WavSwitch() {
-  // Pending flush events capture `this`; they must not outlive the port.
-  for (auto& [peer, batch] : batches_) {
-    if (batch.flush_event.valid()) agent_.sim().cancel(batch.flush_event);
-  }
 }
 
 WavSwitch::Stats WavSwitch::stats() const noexcept {
@@ -111,10 +98,6 @@ void WavSwitch::deliver(const net::EthernetFrame& frame) {
     // Unknown unicast: replicate to all peers (they will learn/deliver).
   }
   c_frames_flooded_->inc();
-  // Broadcast barrier: unicast frames already parked in batches were
-  // delivered to this port first and must reach the wire first; flushing
-  // before replicating keeps per-peer FIFO order intact.
-  flush_all_batches();
   flood(frame);
 }
 
@@ -172,10 +155,6 @@ void WavSwitch::tunnel_to(overlay::HostId peer, const net::EthernetFrame& frame,
   // Packet Assembler: the user-space capture + encapsulation cost. The
   // frame rides in a pooled refcounted buffer — no per-frame allocation.
   auto shared = frame_pool_.acquire(frame);
-  if (config_.batch_window > kZeroDuration) {
-    enqueue_batched(peer, std::move(shared), size, header_bytes, group);
-    return;
-  }
   const TimePoint submitted = agent_.sim().now();
   const bool accepted = egress_.submit(size, [this, peer, shared, size,
                                              header_bytes, group, submitted] {
@@ -209,85 +188,6 @@ void WavSwitch::tunnel_to(overlay::HostId peer, const net::EthernetFrame& frame,
                                    instance_, obs::DropReason::kBacklog);
     }
   }
-}
-
-void WavSwitch::enqueue_batched(overlay::HostId peer, net::FramePool::FrameRef frame,
-                                std::uint64_t wire_bytes, std::uint32_t header_bytes,
-                                vpg::GroupId group) {
-  EgressBatch& batch = batches_[peer];
-  if (batch.frames.empty()) {
-    batch.flush_event = agent_.sim().schedule_after(
-        config_.batch_window, WAV_PROF_CATEGORY("switch", "batch_flush"),
-        [this, peer] { flush_batch(peer); });
-  }
-  batch.frames.push_back(BatchedFrame{std::move(frame), wire_bytes, header_bytes,
-                                      group, agent_.sim().now()});
-  batch.total_bytes += wire_bytes;
-  if (batch.frames.size() >= config_.batch_max_frames) flush_batch(peer);
-}
-
-void WavSwitch::flush_batch(overlay::HostId peer) {
-  const auto it = batches_.find(peer);
-  if (it == batches_.end()) return;
-  EgressBatch batch = std::move(it->second);
-  batches_.erase(it);
-  if (batch.flush_event.valid()) agent_.sim().cancel(batch.flush_event);
-
-  h_batch_size_->observe(static_cast<double>(batch.frames.size()));
-  c_batches_flushed_->inc();
-
-  // One Packet Assembler job for the whole burst: the per-packet service
-  // charge is paid once and the per-byte cost covers the summed wire
-  // bytes — the amortization the batch window buys. The queue accepts or
-  // drops the burst as a unit (same drop-tail bound as single frames).
-  if (egress_.current_backlog() > egress_.config().max_backlog) {
-    static_cast<void>(egress_.submit(batch.total_bytes, [] {}));  // records the drop
-    for (const BatchedFrame& f : batch.frames) {
-      c_frames_dropped_backlog_->inc();
-      if (f.frame->flow.id != 0) {
-        agent_.sim().flows().dropped(f.frame->flow, obs::HopComponent::kSwitchEgress,
-                                     instance_, obs::DropReason::kBacklog);
-      }
-    }
-    return;
-  }
-  static_cast<void>(egress_.submit(
-      batch.total_bytes, [this, peer, frames = std::move(batch.frames)] {
-        WAV_PROF_SCOPE("switch", "egress");
-        for (const BatchedFrame& f : frames) {
-          if (f.frame->flow.id != 0) {
-            agent_.sim().flows().forwarded(f.frame->flow,
-                                           obs::HopComponent::kSwitchEgress, instance_,
-                                           agent_.sim().now() - f.submitted);
-          }
-          net::EncapFrame encap;
-          encap.header_bytes = f.header_bytes;
-          encap.group = f.group;
-          encap.frame = f.frame;
-          if (agent_.send_frame(peer, std::move(encap))) {
-            c_frames_tunneled_->inc();
-            c_bytes_tunneled_->inc(f.wire_bytes);
-          } else {
-            c_frames_dropped_no_peer_->inc();
-            if (f.frame->flow.id != 0) {
-              agent_.sim().flows().dropped(f.frame->flow,
-                                           obs::HopComponent::kTunnelSend, instance_,
-                                           obs::DropReason::kNoRoute);
-            }
-          }
-        }
-      }));
-}
-
-void WavSwitch::flush_all_batches() {
-  if (batches_.empty()) return;
-  // Flush in peer order so the schedule sequence is independent of hash
-  // iteration order (determinism contract).
-  std::vector<overlay::HostId> peers;
-  peers.reserve(batches_.size());
-  for (const auto& [peer, batch] : batches_) peers.push_back(peer);
-  std::sort(peers.begin(), peers.end());
-  for (const overlay::HostId peer : peers) flush_batch(peer);
 }
 
 void WavSwitch::on_wan_frame(overlay::HostId from, const net::EncapFrame& encap) {

@@ -12,7 +12,6 @@
 // source MAC and are injected into the local bridge.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "net/frame_pool.hpp"
@@ -30,21 +29,10 @@ class WavSwitch : public BridgePort {
     std::uint32_t encap_header_bytes{4};  // WAVNet id + length header
     ProcessingQueue::Config processing{};  // tap read + encapsulation cost
     Duration mac_ttl{seconds(300)};
-    /// Egress frame batching: frames to the same peer within this window
-    /// coalesce into one Packet Assembler pass (one per-packet service
-    /// charge for the burst, per-byte over the summed wire bytes) and one
-    /// tunnel send event per frame batch. Zero disables batching — the
-    /// default keeps the frame path and every export byte-identical to
-    /// the unbatched switch. Non-zero trades up to `batch_window` of
-    /// added egress latency for fewer scheduled events and amortized
-    /// encapsulation at 10k-host fan-in.
-    Duration batch_window{kZeroDuration};
-    std::size_t batch_max_frames{32};  // flush early when a batch fills
   };
 
   WavSwitch(overlay::HostAgent& agent, Config config);
   WavSwitch(overlay::HostAgent& agent);
-  ~WavSwitch() override;
 
   /// BridgePort: local frame leaving toward the WAN.
   void deliver(const net::EthernetFrame& frame) override;
@@ -70,9 +58,6 @@ class WavSwitch : public BridgePort {
   void set_mac_ttl(Duration ttl) noexcept { config_.mac_ttl = ttl; }
   [[nodiscard]] Duration mac_ttl() const noexcept { return config_.mac_ttl; }
 
-  /// Number of egress batches currently open (tests/diagnostics).
-  [[nodiscard]] std::size_t open_batches() const noexcept { return batches_.size(); }
-
   /// Attaches the private-group gate (vpg::GroupMember), turning the
   /// switch group-scoped: unicast honors the learned (peer, group) pair,
   /// floods replicate once per active group, and frames crossing a
@@ -94,20 +79,6 @@ class WavSwitch : public BridgePort {
     overlay::HostId peer{0};
     vpg::GroupId group{0};
   };
-  /// One frame parked in an egress batch, with everything its eventual
-  /// tunnel send and accounting need.
-  struct BatchedFrame {
-    net::FramePool::FrameRef frame;
-    std::uint64_t wire_bytes{0};   // frame + encap (+ relay) header
-    std::uint32_t header_bytes{0};
-    vpg::GroupId group{0};         // isolation tag riding the encap
-    TimePoint submitted{};
-  };
-  struct EgressBatch {
-    std::vector<BatchedFrame> frames;
-    std::uint64_t total_bytes{0};
-    sim::EventId flush_event{};
-  };
 
   void on_wan_frame(overlay::HostId from, const net::EncapFrame& encap);
   void on_link_down(overlay::HostId peer);
@@ -117,11 +88,6 @@ class WavSwitch : public BridgePort {
   /// peer on the flat LAN, or once per (active group x admitted peer)
   /// when a gate is attached.
   void flood(const net::EthernetFrame& frame);
-  void enqueue_batched(overlay::HostId peer, net::FramePool::FrameRef frame,
-                       std::uint64_t wire_bytes, std::uint32_t header_bytes,
-                       vpg::GroupId group);
-  void flush_batch(overlay::HostId peer);
-  void flush_all_batches();
 
   overlay::HostAgent& agent_;
   Config config_;
@@ -135,8 +101,6 @@ class WavSwitch : public BridgePort {
   MacTable<FdbVal> remote_fdb_;
   vpg::GroupGate* gate_{nullptr};
   net::FramePool& frame_pool_;
-  /// Open per-peer egress batches (only populated when batching is on).
-  std::unordered_map<overlay::HostId, EgressBatch> batches_;
 
   obs::Counter* c_frames_tunneled_{nullptr};
   obs::Counter* c_frames_flooded_{nullptr};
@@ -145,10 +109,6 @@ class WavSwitch : public BridgePort {
   obs::Counter* c_frames_dropped_backlog_{nullptr};
   obs::Counter* c_bytes_tunneled_{nullptr};
   obs::Counter* c_bytes_received_{nullptr};
-  /// Registered only when batching is enabled, so the default
-  /// configuration's metric export stays byte-identical.
-  obs::Histogram* h_batch_size_{nullptr};
-  obs::Counter* c_batches_flushed_{nullptr};
   /// Registered only once a group gate attaches (same byte-identity
   /// contract for ungrouped fleets).
   obs::Counter* c_group_egress_dropped_{nullptr};

@@ -53,7 +53,6 @@ bool VirtualIpStack::send_ip(net::IpPacket pkt) {
   // Park the packet and resolve.
   PendingResolution& pending = pending_[pkt.dst];
   if (pending.queue.size() >= config_.pending_queue_limit) {
-    ++stats_.packets_dropped_unresolved;
     note_unresolved_drop(pkt);
     return false;
   }
@@ -115,7 +114,6 @@ void VirtualIpStack::retry_resolution(net::Ipv4Address target) {
   if (it == pending_.end()) return;
   PendingResolution& pending = it->second;
   if (++pending.retries > config_.arp_max_retries) {
-    stats_.packets_dropped_unresolved += pending.queue.size();
     for (const net::IpPacket& pkt : pending.queue) note_unresolved_drop(pkt);
     pending_.erase(it);
     return;
@@ -139,7 +137,6 @@ void VirtualIpStack::learn(net::Ipv4Address ip, net::MacAddress mac) {
   arp_cache_[ip] = ArpEntry{mac, sim().now()};
   const auto it = pending_.find(ip);
   if (it != pending_.end()) {
-    ++stats_.arp_resolved;
     PendingResolution pending = std::move(it->second);
     pending_.erase(it);
     sim().cancel(pending.retry_event);

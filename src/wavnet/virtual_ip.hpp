@@ -45,8 +45,6 @@ class VirtualIpStack : public stack::IpLayer {
   struct Stats {
     std::uint64_t arp_requests_sent{0};
     std::uint64_t arp_replies_sent{0};
-    std::uint64_t arp_resolved{0};
-    std::uint64_t packets_dropped_unresolved{0};
     std::uint64_t gratuitous_seen{0};
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -97,71 +97,6 @@ TEST(Link, DropTailBoundsBacklog) {
   EXPECT_EQ(env.link->stats().dropped_queue, 20u - static_cast<unsigned>(received));
 }
 
-TEST(Link, BurstWindowCoalescesArrivalsIntoOneEvent) {
-  // Three back-to-back packets serialize 1 ms apart (arrivals at 2, 3,
-  // 4 ms); a 5 ms batch window collects them all into a single flush at
-  // first_arrival + window = 7 ms, preserving FIFO order.
-  fabric::LinkConfig cfg;
-  cfg.delay = milliseconds(1);
-  cfg.rate = megabits_per_sec(8);
-  cfg.batch_window = milliseconds(5);
-  DirectPair env{cfg};
-
-  stack::UdpLayer udp_a{*env.a};
-  stack::UdpLayer udp_b{*env.b};
-  stack::UdpSocket rx{udp_b, 9};
-  std::vector<std::pair<TimePoint, std::uint64_t>> got;  // (when, payload size)
-  rx.on_receive([&](const net::Endpoint&, const net::UdpDatagram& d) {
-    got.emplace_back(env.sim.now(), d.payload_size());
-  });
-  stack::UdpSocket tx{udp_a, 10};
-  for (const std::uint64_t payload : {972u, 973u, 974u}) {
-    tx.send_to({env.b->primary_address(), 9}, net::Chunk::virtual_bytes(payload));
-  }
-  env.sim.run_for(seconds(1));
-
-  ASSERT_EQ(got.size(), 3u);
-  for (const auto& [when, size] : got) EXPECT_EQ(when, kSimStart + milliseconds(7));
-  // FIFO preserved within the burst.
-  EXPECT_EQ(got[0].second, 972u);
-  EXPECT_EQ(got[1].second, 973u);
-  EXPECT_EQ(got[2].second, 974u);
-  EXPECT_EQ(env.link->stats().bursts_delivered, 1u);
-  EXPECT_EQ(env.link->stats().max_burst_packets, 3u);
-  EXPECT_EQ(env.link->stats().delivered_packets, 3u);
-}
-
-TEST(Link, BurstFlushDeliversReadyPrefixAndReopensForStragglers) {
-  // With a window shorter than the serialization spacing, the flush at
-  // 2 + 1.5 = 3.5 ms hands over arrivals 2 and 3 ms; the 4 ms straggler
-  // re-opens a burst flushed at 4 + 1.5 = 5.5 ms.
-  fabric::LinkConfig cfg;
-  cfg.delay = milliseconds(1);
-  cfg.rate = megabits_per_sec(8);
-  cfg.batch_window = microseconds(1500);
-  DirectPair env{cfg};
-
-  stack::UdpLayer udp_a{*env.a};
-  stack::UdpLayer udp_b{*env.b};
-  stack::UdpSocket rx{udp_b, 9};
-  std::vector<TimePoint> arrivals;
-  rx.on_receive([&](const net::Endpoint&, const net::UdpDatagram&) {
-    arrivals.push_back(env.sim.now());
-  });
-  stack::UdpSocket tx{udp_a, 10};
-  for (int i = 0; i < 3; ++i) {
-    tx.send_to({env.b->primary_address(), 9}, net::Chunk::virtual_bytes(972));
-  }
-  env.sim.run_for(seconds(1));
-
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], kSimStart + microseconds(3500));
-  EXPECT_EQ(arrivals[1], kSimStart + microseconds(3500));
-  EXPECT_EQ(arrivals[2], kSimStart + microseconds(5500));
-  EXPECT_EQ(env.link->stats().bursts_delivered, 2u);
-  EXPECT_EQ(env.link->stats().max_burst_packets, 2u);
-}
-
 TEST(Link, LossRateIsRespected) {
   fabric::LinkConfig cfg;
   cfg.delay = milliseconds(1);

@@ -137,13 +137,21 @@ TEST(ObsIntegration, PulsesFlowAndSwitchCountersMatchAcrossTunnel) {
   EXPECT_EQ(sa.bytes_received, sb.bytes_tunneled);
   EXPECT_GT(sa.bytes_received, 0u);
 
-  // The thin-view struct and the registry must agree (same source).
+  // stats() snapshots and the registry must agree (same source).
   EXPECT_EQ(sa.frames_tunneled,
             reg.counter("switch.frames_tunneled", "a1").value());
   EXPECT_EQ(sb.bytes_received,
             reg.counter("switch.bytes_received", "b1").value());
   EXPECT_EQ(reg.counter_total("switch.frames_tunneled"),
             sa.frames_tunneled + sb.frames_tunneled);
+  const auto rv = env.rendezvous->stats();
+  const std::string rv_inst = env.rendezvous->host_endpoint().ip.to_string();
+  EXPECT_GT(rv.heartbeats, 0u);
+  EXPECT_EQ(rv.registrations, reg.counter("rendezvous.registrations", rv_inst).value());
+  EXPECT_EQ(rv.heartbeats, reg.counter("rendezvous.heartbeats", rv_inst).value());
+  EXPECT_EQ(rv.queries, reg.counter("rendezvous.queries", rv_inst).value());
+  EXPECT_EQ(env.a1->agent().stats().pulses_sent,
+            reg.counter("overlay.connect_pulse_sent", "a1").value());
 }
 
 TEST(ObsIntegration, IdenticalSeedsYieldByteIdenticalExports) {

@@ -138,7 +138,14 @@ TEST(Relay, SymmetricPairFallsBackAfterPunchTimeout) {
   icmp_a.send_echo_request(env.b1->virtual_ip(), id, 1, 56);
   env.sim.run_for(seconds(5));
   EXPECT_EQ(replies, 1);
-  EXPECT_GT(env.relays[0]->stats().frames_relayed, 0u);
+  const auto rs = env.relays[0]->stats();
+  EXPECT_GT(rs.frames_relayed, 0u);
+  // The snapshot and the registry must agree (same source).
+  auto& reg = env.sim.metrics();
+  const std::string inst = env.relays[0]->endpoint().to_string();
+  EXPECT_EQ(rs.allocations, reg.counter("relay.allocations", inst).value());
+  EXPECT_EQ(rs.frames_relayed, reg.counter("relay.frames_relayed", inst).value());
+  EXPECT_EQ(rs.bytes_relayed, reg.counter("relay.bytes_relayed", inst).value());
 }
 
 TEST(Relay, KnownIncompatiblePairRelaysImmediately) {

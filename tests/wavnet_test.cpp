@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "fabric/wan.hpp"
-#include "obs/metrics.hpp"
 #include "overlay/rendezvous.hpp"
 #include "stack/icmp.hpp"
 #include "tcp/tcp.hpp"
@@ -27,11 +26,7 @@ struct VpcFixture {
   std::unique_ptr<WavnetHost> a1;
   std::unique_ptr<WavnetHost> b1;
 
-  /// Switch configuration applied to every host (tests use it to turn on
-  /// egress batching; the default keeps the stock switch).
-  wavnet::WavSwitch::Config switch_config{};
-
-  explicit VpcFixture(wavnet::WavSwitch::Config sw = {}) : switch_config(sw) {
+  VpcFixture() {
     fabric::SiteConfig sa;
     sa.name = "A";
     sa.host_count = 2;
@@ -59,7 +54,6 @@ struct VpcFixture {
     cfg.agent.name = name;
     cfg.agent.rendezvous = rendezvous->host_endpoint();
     cfg.virtual_ip = net::Ipv4Address::parse(vip).value();
-    cfg.switch_config = switch_config;
     return std::make_unique<WavnetHost>(host, cfg);
   }
 
@@ -96,79 +90,6 @@ TEST(Wavnet, ArpResolvesAcrossWanTunnel) {
   EXPECT_GT(env.b1->stack().stats().arp_replies_sent, 0u);
   // Data followed the learned unicast path, not flooding.
   EXPECT_GT(env.a1->wav_switch().stats().frames_tunneled, 0u);
-}
-
-TEST(Wavnet, SwitchBatchingCoalescesEgressAndStillDelivers) {
-  wavnet::WavSwitch::Config sw;
-  sw.batch_window = milliseconds(2);
-  VpcFixture env{sw};
-  env.link_hosts();
-
-  stack::IcmpLayer icmp_a{env.a1->stack()};
-  stack::IcmpLayer icmp_b{env.b1->stack()};
-  int replies = 0;
-  const std::uint16_t id = icmp_a.allocate_id();
-  icmp_a.on_reply(id, [&](net::Ipv4Address, const net::IcmpMessage&) { ++replies; });
-
-  // Warm ARP so the burst below rides the learned unicast path.
-  icmp_a.send_echo_request(env.b1->virtual_ip(), id, 0, 56);
-  env.sim.run_for(seconds(2));
-  ASSERT_EQ(replies, 1);
-
-  // Four back-to-back echoes leave a1 inside one batch window; every one
-  // still makes the round trip (batching adds latency, never loses).
-  for (std::uint16_t s = 1; s <= 4; ++s) {
-    icmp_a.send_echo_request(env.b1->virtual_ip(), id, s, 56);
-  }
-  env.sim.run_for(seconds(2));
-  EXPECT_EQ(replies, 5);
-  EXPECT_EQ(env.a1->wav_switch().open_batches(), 0u);
-
-  // The burst shows up as one multi-frame flush in the batch-size
-  // histogram (registered only because batching is on).
-  const obs::Histogram* h = env.sim.metrics().find_histogram("switch.batch_size", "a1");
-  ASSERT_NE(h, nullptr);
-  EXPECT_GT(h->count(), 0u);
-  const obs::Counter* flushed =
-      env.sim.metrics().find_counter("switch.batches_flushed", "a1");
-  ASSERT_NE(flushed, nullptr);
-  // Strictly fewer flushes than frames tunneled = coalescing happened.
-  EXPECT_GT(flushed->value(), 0u);
-  EXPECT_LT(flushed->value(), env.a1->wav_switch().stats().frames_tunneled);
-}
-
-TEST(Wavnet, SwitchBatchMaxFramesForcesEarlyFlush) {
-  wavnet::WavSwitch::Config sw;
-  sw.batch_window = seconds(1);  // window long enough that only the frame
-  sw.batch_max_frames = 2;       // cap can flush the burst promptly
-  VpcFixture env{sw};
-  env.link_hosts();
-
-  stack::IcmpLayer icmp_a{env.a1->stack()};
-  stack::IcmpLayer icmp_b{env.b1->stack()};
-  int replies = 0;
-  const std::uint16_t id = icmp_a.allocate_id();
-  icmp_a.on_reply(id, [&](net::Ipv4Address, const net::IcmpMessage&) { ++replies; });
-  // The warm-up ping pays the full window four times (ARP request/reply
-  // and echo request/reply each ride a size-1 batch): give it ~4.2 s.
-  icmp_a.send_echo_request(env.b1->virtual_ip(), id, 0, 56);
-  env.sim.run_for(seconds(6));
-  ASSERT_EQ(replies, 1);
-
-  const obs::Counter* flushed =
-      env.sim.metrics().find_counter("switch.batches_flushed", "a1");
-  ASSERT_NE(flushed, nullptr);
-  const std::uint64_t before = flushed->value();
-  const TimePoint t0 = env.sim.now();
-  for (std::uint16_t s = 1; s <= 4; ++s) {
-    icmp_a.send_echo_request(env.b1->virtual_ip(), id, s, 56);
-  }
-  env.sim.run_for(milliseconds(500));
-  // All four replies came back well before the 1 s window could expire:
-  // the size cap (2) flushed the burst as two full batches.
-  EXPECT_EQ(replies, 5);
-  EXPECT_LT(env.sim.now() - t0, seconds(1));
-  EXPECT_GE(flushed->value() - before, 2u);
 }
 
 TEST(Wavnet, VirtualPlanePingRttMatchesPhysical) {
